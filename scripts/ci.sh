@@ -18,6 +18,12 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
 python -m pytest -x -q tests/nn/test_conv_fast_paths.py \
     tests/core/test_engine_bit_parity.py
 
+# The closed-form surrogate α-step contract: the golden surrogate searches
+# (recorded from the autodiff tape) and the Hypothesis step-parity suite
+# against the tape composition, float64 and float32.
+python -m pytest -x -q tests/core/test_surrogate_golden.py \
+    tests/core/test_surrogate_step.py
+
 # Tiny-N smoke of the hot-path benchmark: exercises the scalar/vectorized
 # parity assertions and the BENCH_perf.json writer without the full N=10k
 # timing run (speedup thresholds are only checked at full size).

@@ -92,25 +92,21 @@ class GumbelSampler:
         return gates, sels
 
     def selection_signature(self, alpha_data: np.ndarray, step: int,
-                            noise: Optional[np.ndarray]) -> Tuple[int, ...]:
+                            noise: np.ndarray) -> Tuple[int, ...]:
         """The per-layer argmax the sampled gates will select, computed with
         raw numpy replicating the op chain bit-for-bit.
 
         Float softmax chains are not monotonicity-safe, so the plan key must
-        come from the *exact* arithmetic the traced step performs:
-        log-softmax, additive noise, ``* (1/τ)``, then the stable softmax —
-        the same shift/exp/sum sequence :func:`repro.nn.functional.softmax`
-        lowers to.  Engines key compiled plans on this signature so a replay
-        can never silently follow a stale single-path selection.
+        come from the *exact* arithmetic the traced step performs — the
+        :meth:`gates_vjp` forward.  Engines key compiled plans on this
+        signature so a replay can never silently follow a stale single-path
+        selection.
         """
         a = np.asarray(alpha_data)
-        shifted = a - a.max(axis=-1, keepdims=True)
-        lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        pert = lp if noise is None else lp + np.asarray(noise, dtype=a.dtype)
-        pert = pert * (1.0 / self.schedule.at(step))
-        s2 = pert - pert.max(axis=-1, keepdims=True)
-        soft = np.exp(s2) / np.exp(s2).sum(axis=-1, keepdims=True)
-        return tuple(int(k) for k in np.argmax(soft, axis=-1))
+        hard, _ = self.gates_vjp(
+            a, np.asarray(noise, dtype=a.dtype),
+            np.asarray(1.0 / self.schedule.at(step), dtype=a.dtype))
+        return tuple(int(k) for k in np.argmax(hard, axis=-1))
 
     def sample_gates(self, alpha: nn.Tensor, step: int,
                      deterministic: bool = False,
@@ -147,6 +143,42 @@ class GumbelSampler:
                                        inv_tau=inv_tau)
         hard = F.hard_binarize_ste(relaxed, axis=-1)
         return relaxed, hard
+
+    @staticmethod
+    def gates_vjp(alpha: np.ndarray, noise: np.ndarray, inv_tau: np.ndarray):
+        """:meth:`sample_gates`' hard gates and their VJP on raw arrays.
+
+        Returns ``(hard, back)``: ``hard`` is the one-hot ``P̄`` the tape
+        computes for ``alpha``, ``noise`` and ``inv_tau`` (the deterministic
+        chain passes zeros as ``noise``, as the tape does), and ``back(g)``
+        maps ``∂L/∂P̄`` to ``∂L/∂α``.  Each line mirrors one tape op of
+        log-softmax → ``(· + G) · (1/τ)`` → softmax → STE forward, or its
+        backward closure in :mod:`repro.nn.ops` in reverse, with the same
+        operands in the same order, so both are bit-identical to the tape.
+        ``noise`` and ``inv_tau`` must already be in ``alpha``'s dtype.
+        """
+        shifted = alpha - alpha.max(axis=-1, keepdims=True)
+        exps = np.exp(shifted)
+        sums = exps.sum(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(sums)
+        perturbed = (log_probs + noise) * inv_tau
+        shifted2 = perturbed - perturbed.max(axis=-1, keepdims=True)
+        exps2 = np.exp(shifted2)
+        sums2 = exps2.sum(axis=-1, keepdims=True)
+        relaxed = exps2 / sums2
+        # STE forward: the one-hot argmax (same 1.0 writes as put_along_axis)
+        hard = np.zeros_like(relaxed)
+        hard[np.arange(len(relaxed)), relaxed.argmax(axis=-1)] = 1.0
+
+        def back(g):
+            # STE passes g through; softmax quotient, then its sum
+            g_sums2 = (-g * exps2 / (sums2 ** 2)).sum(axis=-1, keepdims=True)
+            g_log_probs = (g / sums2 + g_sums2) * exps2 * inv_tau
+            # log-softmax: the direct path plus the log-sum-exp path
+            g_sums = (-g_log_probs).sum(axis=-1, keepdims=True) / sums
+            return g_log_probs + g_sums * exps
+
+        return hard, back
 
     @staticmethod
     def derive_architecture(alpha: nn.Tensor) -> Architecture:

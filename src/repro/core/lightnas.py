@@ -22,7 +22,9 @@ Two validation-loss modes share the engine:
     :class:`repro.proxy.accuracy_model.AccuracyOracle` — the fast path used
     by the full-space benchmarks, where training a 22-layer ImageNet
     supernet on one CPU core is not an option.  The α/λ dynamics (the
-    paper's contribution) are identical.
+    paper's contribution) are identical.  Each α/λ step runs as one fused
+    closed-form forward + VJP (:class:`~repro.core.surrogate_step.
+    SurrogateStep`), bit-identical to the autodiff tape it replaces.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .gumbel import GumbelSampler, TemperatureSchedule
 from .lambda_opt import LagrangeMultiplier
 from .objective import ConstrainedObjective
 from .result import SearchResult, SearchTrajectory
+from .surrogate_step import SurrogateStep
 
 __all__ = ["LightNASConfig", "LightNAS", "METRIC_ALIASES", "CANONICAL_METRICS"]
 
@@ -272,6 +275,11 @@ class LightNAS:
         # batch shape, so Gumbel samples re-hit their compiled plan
         self.programs = nn.StepProgram("lightnas")
         self._use_plans = config.use_plans and config.mode == "supernet"
+        self._alpha_step: Optional[SurrogateStep] = None
+        if config.mode == "surrogate":
+            self._alpha_step = SurrogateStep(
+                self.oracle, self.objective, nn.get_default_dtype(),
+                (self.space.num_layers, self.space.num_operators))
 
     def _default_predictor(self) -> MLPPredictor:
         latency_model = LatencyModel(self.space)
@@ -631,6 +639,9 @@ class LightNAS:
         cfg = self.config
         steps = 0
         loss_sum = 0.0
+        if cfg.mode == "surrogate":
+            return self._surrogate_alpha_epoch(sampler, alpha, alpha_opt,
+                                               lam, epoch)
         if not self._use_plans:
             for _ in range(cfg.steps_per_epoch):
                 _, gates = sampler.sample_gates(alpha, epoch)
@@ -748,6 +759,40 @@ class LightNAS:
                            tuple(s for s, _ in chained)))
         return steps, loss_sum / max(steps, 1)
 
+    def _surrogate_alpha_epoch(self, sampler: GumbelSampler,
+                               alpha: nn.Parameter, alpha_opt: nn.Optimizer,
+                               lam: LagrangeMultiplier,
+                               epoch: int) -> Tuple[int, float]:
+        """Surrogate-mode α/λ epoch: one closed-form step per draw.
+
+        :class:`SurrogateStep` returns the validation loss and the tape's
+        exact ``∂L/∂α`` / ``∂L/∂λ`` (the latency term again sees the
+        deterministic argmax path); the unchanged optimizers apply them.
+        Under an open profiler each step is recorded as ``alpha_step``.
+        """
+        cfg = self.config
+        step = self._alpha_step
+        if step.dtype != alpha.data.dtype:  # default dtype changed since init
+            step = self._alpha_step = SurrogateStep(
+                self.oracle, self.objective, alpha.data.dtype, alpha.shape)
+        inv_tau = 1.0 / sampler.schedule.at(epoch)
+        prof = nn.profiler.active_profile()
+        loss_sum = 0.0
+        for _ in range(cfg.steps_per_epoch):
+            noise = sampler.draw_noise(alpha.shape)
+            if prof is None:
+                valid_loss, alpha.grad, lam.param.grad = step(
+                    alpha.data, noise, inv_tau, lam.param.data)
+            else:
+                start = time.perf_counter()
+                valid_loss, alpha.grad, lam.param.grad = step(
+                    alpha.data, noise, inv_tau, lam.param.data)
+                prof.record("alpha_step", time.perf_counter() - start)
+            loss_sum += valid_loss
+            alpha_opt.step()
+            lam.ascend()
+        return cfg.steps_per_epoch, loss_sum / max(cfg.steps_per_epoch, 1)
+
     def _warmup_valid_loss(self, sampler: GumbelSampler, alpha: nn.Parameter,
                            epoch: int) -> float:
         """Honest validation loss for warmup epochs (no α update runs).
@@ -800,9 +845,8 @@ class LightNAS:
         return float(loss.data)
 
     def _validation_loss(self, gates: nn.Tensor) -> nn.Tensor:
+        """Supernet cross-entropy of the sampled path on a validation batch."""
         cfg = self.config
-        if cfg.mode == "surrogate":
-            return self.oracle.differentiable_loss(gates)
         self.supernet.train(True)
         with nn.dtype_scope(cfg.compute_dtype):
             batch = self.task.sample_batch(self.task.valid, cfg.batch_size)

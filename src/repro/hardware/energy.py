@@ -16,7 +16,6 @@ heating device.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..search_space.space import Architecture, SearchSpace
 from . import flops
@@ -106,6 +105,9 @@ class EnergyMeter:
         the meter's drift state advances as if each architecture had been
         measured in sequence.
         """
+        # scipy costs ~1 s of import time; only energy campaigns need it
+        from scipy.signal import lfilter
+
         d = self.model.device
         true = self.model.energy_many(archs)
         if len(true) == 0:

@@ -77,6 +77,25 @@ class AnalyticCostPredictor:
         out = nn.ops.matmul(features, flat_table)
         return nn.ops.reshape(out, (features.shape[0],)) + self.fixed
 
+    def forward_vjp(self, flat: np.ndarray):
+        """:meth:`predict_tensor` of one row and its VJP on raw arrays.
+
+        Same contract as :meth:`MLPPredictor.forward_vjp`: returns
+        ``(metric, back)``, bit-identical to ``predict_tensor(flat)[0]``
+        and its tape gradient with respect to ``flat``.
+        """
+        dtype = flat.dtype
+        column = np.asarray(self.table.reshape(-1, 1), dtype=dtype)
+        out = flat @ column
+        metric = (out.reshape((1,)) + np.asarray(self.fixed, dtype=dtype))[0]
+
+        def back(g):
+            g_pred = np.zeros(1, dtype=dtype)
+            g_pred[0] += g
+            return g_pred.reshape((1, 1)) @ np.swapaxes(column, -1, -2)
+
+        return metric, back
+
     def predict_arch(self, arch: Architecture) -> float:
         """Exact metric of one architecture (matches hardware.flops)."""
         self.space.validate(arch)

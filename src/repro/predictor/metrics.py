@@ -1,9 +1,12 @@
-"""Accuracy metrics for hardware-metric predictors."""
+"""Accuracy metrics for hardware-metric predictors.
+
+scipy is imported inside the rank-correlation functions: it costs about a
+second of import time, and ``repro search`` never ranks predictions.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["rmse", "mae", "kendall_tau", "spearman_rho", "max_error"]
 
@@ -26,11 +29,15 @@ def max_error(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def kendall_tau(pred: np.ndarray, truth: np.ndarray) -> float:
     """Kendall rank correlation — what matters for search is ranking."""
+    from scipy import stats
+
     tau = stats.kendalltau(pred, truth).statistic
     return float(tau)
 
 
 def spearman_rho(pred: np.ndarray, truth: np.ndarray) -> float:
     """Spearman rank correlation."""
+    from scipy import stats
+
     rho = stats.spearmanr(pred, truth).statistic
     return float(rho)

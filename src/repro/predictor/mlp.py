@@ -86,6 +86,45 @@ class MLPPredictor:
         out = nn.ops.reshape(out, (features.shape[0],))
         return out * self.target_std + self.target_mean
 
+    def forward_vjp(self, flat: np.ndarray):
+        """:meth:`predict_tensor` of one row and its VJP on raw arrays.
+
+        ``flat`` is a ``(1, L·K)`` encoding.  Returns ``(metric, back)``:
+        ``metric`` is the value ``predict_tensor(flat)[0]`` computes on the
+        tape and ``back(g)`` maps ``∂L/∂metric`` to ``∂L/∂flat`` (the
+        weights are frozen, so their gradients are skipped).  Each line
+        mirrors one tape op or its backward closure in :mod:`repro.nn.ops`
+        with the same operands and layouts (``h @ W.T`` forward, ``g @ W``
+        backward), and every op output is cast to ``flat``'s dtype as the
+        tape's ``Tensor`` wrapping does, so both are bit-identical to it.
+        """
+        dtype = flat.dtype
+        w_ts, masks = [], []
+
+        def linear(h, layer):
+            w_ts.append(np.asarray(layer.weight.data.T, dtype=dtype))
+            return np.asarray(h @ w_ts[-1] + layer.bias.data, dtype=dtype)
+
+        h = flat
+        for layer in self.layers[:-1]:
+            pre = linear(h, layer)
+            masks.append(pre > 0.0)
+            h = np.maximum(pre, 0.0)
+        out = linear(h, self.layers[-1])
+        std = np.asarray(self.target_std, dtype=dtype)
+        metric = (out.reshape((1,)) * std
+                  + np.asarray(self.target_mean, dtype=dtype))[0]
+
+        def back(g):
+            g_pred = np.zeros(1, dtype=dtype)
+            g_pred[0] += g
+            g_h = (g_pred * std).reshape((1, 1))
+            for w_t, mask in zip(w_ts[:0:-1], masks[::-1]):
+                g_h = (g_h @ np.swapaxes(w_t, -1, -2)) * mask
+            return g_h @ np.swapaxes(w_ts[0], -1, -2)
+
+        return metric, back
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Fast numpy forward (no tape) for batch scoring.
 

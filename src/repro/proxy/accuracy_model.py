@@ -123,12 +123,26 @@ class AccuracyOracle:
         depth_ratio = space.num_layers / self.REFERENCE_LAYERS
         self._logistic_mid = self.MID * depth_ratio
         self._logistic_scale = self.SCALE * depth_ratio
+        self._values: Optional[np.ndarray] = None
+        #: dtype → constants of :meth:`differentiable_loss_vjp`
+        self._loss_consts: dict = {}
 
     # ------------------------------------------------------------------
     # Capacity model
     # ------------------------------------------------------------------
     def value_matrix(self) -> np.ndarray:
-        """Per-(layer, operator) capacity contribution, shape ``(L, K)``."""
+        """Per-(layer, operator) capacity contribution, shape ``(L, K)``.
+
+        Built once per oracle and returned read-only: the search reads it
+        on every α-step and every :meth:`evaluate` reads it too.
+        """
+        if self._values is None:
+            table = self._build_value_matrix()
+            table.flags.writeable = False
+            self._values = table
+        return self._values
+
+    def _build_value_matrix(self) -> np.ndarray:
         geoms = self.space.layer_geometries()
         resolutions = np.array([g.in_resolution for g in geoms], dtype=np.float64)
         threshold = float(np.sqrt(resolutions.max() * resolutions.min()))
@@ -228,3 +242,39 @@ class AccuracyOracle:
             + (self.RANGE / 100.0) / (nn.ops.exp(-z) + 1.0)
         )
         return (1.0 - top1_frac) * 4.0
+
+    def differentiable_loss_vjp(self, p_bar: np.ndarray):
+        """:meth:`differentiable_loss` and its VJP on raw arrays.
+
+        Returns ``(loss, back)``: ``loss`` is the value the tape computes
+        for ``p_bar`` and ``back(g)`` maps ``∂L/∂loss`` to ``∂L/∂P̄``.  Each
+        line mirrors one tape op of :meth:`differentiable_loss` forward, or
+        its backward closure in :mod:`repro.nn.ops` in reverse, with the
+        same operands in the same order, so both are bit-identical to the
+        tape.  Constants are 0-d arrays in ``p_bar``'s dtype, as the tape's
+        ``Tensor`` wrapping makes them.
+        """
+        consts = self._loss_consts.get(p_bar.dtype)
+        if consts is None:
+            consts = self._loss_consts[p_bar.dtype] = tuple(
+                np.asarray(value, dtype=p_bar.dtype) for value in (
+                    self.value_matrix() * self._scale, self._logistic_mid,
+                    1.0 / self._logistic_scale, 1.0, self.RANGE / 100.0,
+                    self.FLOOR / 100.0, 4.0))
+        table, mid, inv_scale, one, range_frac, floor_frac, four = consts
+        capacity = (p_bar * table).sum()
+        z = (capacity - mid) * inv_scale
+        exp_neg_z = np.exp(-z)
+        denom = exp_neg_z + one
+        top1_frac = floor_frac + range_frac / denom
+        loss = (one - top1_frac) * four
+
+        def back(g):
+            g_top1 = -(g * four)
+            # div backward on the denominator; np.square is the 0-d array's
+            # ``** 2`` (a numpy scalar's ``** 2`` calls pow() and can differ)
+            g_denom = -g_top1 * range_frac / np.square(denom)
+            g_capacity = -(g_denom * exp_neg_z) * inv_scale
+            return g_capacity * table
+
+        return loss, back

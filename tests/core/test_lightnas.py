@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.lightnas import LightNAS, LightNASConfig
+from repro.core.surrogate_step import SurrogateStep
 from repro.hardware.latency import LatencyModel
 from repro.search_space.macro import MacroConfig
 from repro.search_space.space import SearchSpace
@@ -99,19 +100,20 @@ class TestTrajectoryValidLoss:
     """Regression: trajectory.valid_loss was a stale constant 0.0."""
 
     def test_records_epoch_mean_of_actual_losses(self, tiny_space,
-                                                 tiny_predictor, tiny_oracle):
+                                                 tiny_predictor, tiny_oracle,
+                                                 monkeypatch):
         cfg = LightNASConfig(space=tiny_space, target=2.3, mode="surrogate",
                              epochs=6, steps_per_epoch=3, seed=0)
         engine = LightNAS(cfg, predictor=tiny_predictor, oracle=tiny_oracle)
         seen = []
-        original = engine._validation_loss
+        original = SurrogateStep.__call__
 
-        def spy(gates):
-            out = original(gates)
-            seen.append(float(out.data))
+        def spy(self, *args):
+            out = original(self, *args)
+            seen.append(out[0])  # the step's validation loss
             return out
 
-        engine._validation_loss = spy
+        monkeypatch.setattr(SurrogateStep, "__call__", spy)
         traj = engine.search().trajectory
         steps = cfg.steps_per_epoch
         means = [sum(seen[e * steps:(e + 1) * steps]) / steps

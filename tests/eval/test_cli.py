@@ -27,6 +27,38 @@ class TestParser:
                                        "--metric", "watts"])
 
 
+class TestLazyScipy:
+    """scipy costs about a second of import time; the CLI and the search
+    command never need it (only energy campaigns and rank metrics do)."""
+
+    SCIPY_LOADED = ("import sys\n"
+                    "loaded = sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'scipy')\n"
+                    "assert not loaded, loaded\n")
+
+    def _run(self, code):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        out = subprocess.run([sys.executable, "-c", code + self.SCIPY_LOADED],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
+
+    def test_import_cli(self):
+        self._run("import repro.cli\n")
+
+    def test_search_command(self):
+        self._run("from repro.cli import main\n"
+                  "assert main(['search', '--target', '24', "
+                  "'--epochs', '2']) == 0\n")
+
+
 class TestInfo:
     def test_full_space(self, capsys):
         assert main(["info"]) == 0

@@ -37,6 +37,14 @@ class TestCapacity:
         assert table.shape == (21, 7)
         assert np.all(table[:, SKIP_INDEX] == 0.0)
 
+    def test_value_matrix_cached_read_only(self, full_space):
+        oracle = AccuracyOracle(full_space)
+        table = oracle.value_matrix()
+        assert oracle.value_matrix() is table  # built once per oracle
+        assert np.array_equal(table, oracle._build_value_matrix())
+        with pytest.raises(ValueError):
+            table[0, 0] = 9.0
+
     def test_position_dependence(self, full_space, full_oracle):
         """Kernels matter early, expansion matters late (layer diversity)."""
         table = full_oracle.value_matrix()
