@@ -1,8 +1,10 @@
 """Performance baseline for compiled step plans (BENCH_step.json).
 
 Measures the trace-once/replay-many step compiler against the eager tape
-engine on the tiny supernet — the bi-level search's inner loop — for the
-three step families the LightNAS engine compiles:
+engine on one fixed single path of the tiny supernet.  Plans serve
+fixed-architecture training (standalone retraining); the search itself
+runs eagerly, because its sampled path changes every step.  Three step
+shapes are timed:
 
 * ``w``-step: single-path weight training (forward + backward + SGD),
 * ``alpha``-step shape: same network, gradient also w.r.t. the gate tensor,
@@ -131,7 +133,7 @@ def _bench_family(family: str, steps: int, batch_size: int,
     def plan_step_factory():
         space, net, opt, batches, gates, sel = _build(batch_size, dtype)
         net.train(grad)
-        program = StepProgram(family, compile_threshold=1)
+        program = StepProgram(family)
         num_classes = space.macro.num_classes
         gates_param = nn.Parameter(gates.copy(), name="gates")
 

@@ -14,9 +14,11 @@ python -m pytest -x -q tests/core/test_resume_parity.py \
     tests/runtime/
 
 # The conv fast-path contract: gradient checks for every specialized kernel
-# plus the golden-trajectory test pinning the float64 engine bit-identical.
+# plus the golden-trajectory test pinning the float64 engine bit-identical,
+# and standalone retraining with step plans on vs off, bit for bit.
 python -m pytest -x -q tests/nn/test_conv_fast_paths.py \
-    tests/core/test_engine_bit_parity.py
+    tests/core/test_engine_bit_parity.py \
+    tests/eval/test_trainer.py::TestPlanParity
 
 # The closed-form surrogate α-step contract: the golden surrogate searches
 # (recorded from the autodiff tape) and the Hypothesis step-parity suite

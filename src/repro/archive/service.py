@@ -453,7 +453,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch(lambda: handler(self._read_json()))
 
 
-class _ReusePortHTTPServer(ThreadingHTTPServer):
+class _HTTPServer(ThreadingHTTPServer):
+    """A threading server with the kernel's largest listen backlog.
+
+    socketserver's default backlog of 5 overflows under a few hundred
+    requests per second; dropped SYNs then retransmit after ~1 s, which
+    shows up as one-second latency tails.
+    """
+
+    request_queue_size = socket.SOMAXCONN
+
+
+class _ReusePortHTTPServer(_HTTPServer):
     """A threading server whose listener joins an ``SO_REUSEPORT`` group.
 
     Every worker process binds its *own* socket to the same address and
@@ -477,7 +488,7 @@ def make_server(service: ArchiveService, host: str = "127.0.0.1",
     With ``reuse_port=True`` the listener joins an ``SO_REUSEPORT`` group,
     so several processes can serve one address (``repro serve --workers``).
     """
-    server_cls = _ReusePortHTTPServer if reuse_port else ThreadingHTTPServer
+    server_cls = _ReusePortHTTPServer if reuse_port else _HTTPServer
     server = server_cls((host, port), _Handler)
     server.service = service  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]

@@ -234,9 +234,7 @@ def cmd_search(args) -> int:
     space = _space(args)
     latency_model = LatencyModel(space)
     energy_model = EnergyModel(space, latency_model=latency_model)
-    overrides = {"compute_dtype": args.dtype, "profile_ops": args.profile_ops,
-                 "use_plans": not args.no_plans,
-                 "use_fusion": not args.no_fusion}
+    overrides = {"compute_dtype": args.dtype, "profile_ops": args.profile_ops}
     if args.epochs:
         overrides["epochs"] = args.epochs
     try:
@@ -404,8 +402,6 @@ def cmd_sweep(args) -> int:
                                         metric_name=args.metric,
                                         compute_dtype=args.dtype,
                                         profile_ops=args.profile_ops,
-                                        use_plans=not args.no_plans,
-                                        use_fusion=not args.no_fusion,
                                         **overrides)
                    for target in targets]
     except ValueError as exc:
@@ -455,8 +451,6 @@ def cmd_stability(args) -> int:
                                      metric_name=args.metric,
                                      compute_dtype=args.dtype,
                                      profile_ops=args.profile_ops,
-                                     use_plans=not args.no_plans,
-                                     use_fusion=not args.no_fusion,
                                      **overrides)
                 for target in targets for seed in seeds]
     except ValueError as exc:
@@ -743,6 +737,7 @@ def cmd_trace_summary(args) -> int:
             ["wall time (s)", run["wall_time_s"]],
             ["phase timers", timers],
         ]
+        # only journals from the retired plan-compiled search carry these
         plans = run.get("plan_stats") or {}
         if plans:
             rows.append(["step plans",
@@ -754,12 +749,6 @@ def cmd_trace_summary(args) -> int:
                          f"{plans.get('kernels_fused', 0)} bound, "
                          f"{plans.get('fusion_rejected', 0)} rejected by "
                          f"bitwise probe"])
-            rows.append(["epoch plans",
-                         f"{plans.get('epoch_plans_compiled', 0)} compiled, "
-                         f"{plans.get('epoch_plan_hits', 0)} whole-epoch "
-                         f"replays, "
-                         f"{plans.get('epoch_plan_invalidations', 0)} "
-                         f"invalidated"])
         print(render_table(["field", "value"], rows,
                            title=f"run {index + 1}/{len(runs)}"))
         if args.ops:
@@ -1273,15 +1262,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile-ops", action="store_true",
                         help="record per-op wall time in the journal epochs "
                              "(view with: repro trace-summary --ops)")
-    parser.add_argument("--no-plans", action="store_true",
-                        help="disable compiled step plans (trace-once/"
-                             "replay-many execution); the eager engine "
-                             "computes bit-identical results, just slower")
-    parser.add_argument("--no-fusion", action="store_true",
-                        help="disable fused replay kernels and whole-epoch "
-                             "compilation (plans still replay unfused, "
-                             "bit-identically); use to isolate a suspected "
-                             "fusion issue")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

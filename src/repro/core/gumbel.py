@@ -61,57 +61,15 @@ class GumbelSampler:
     def draw_noise(self, shape) -> np.ndarray:
         """Advance the sampler RNG by one Gumbel draw of the given shape.
 
-        Step plans hoist the draw out of the traced function so the noise
-        becomes a per-step plan *input*; the stream order matches the
-        historical in-line draw exactly (one ``rng.uniform`` call).
+        The closed-form surrogate step draws its noise here; the stream
+        order matches the in-line draw of :meth:`sample_gates` exactly
+        (one ``rng.uniform`` call).
         """
         return F.gumbel_noise(shape, self.rng)
-
-    def predraw_epoch(self, alpha: nn.Tensor, step: int,
-                      n_draws: int) -> Tuple[list, list]:
-        """Pre-draw one epoch's hard gates and path selections upfront.
-
-        Valid whenever ``alpha`` is frozen for the whole epoch (w-epochs:
-        the weight phase never updates α).  The sampler RNG advances by
-        exactly the same ``n_draws`` uniform calls the per-step in-line
-        draws would have made, and each gate matrix comes from the same
-        :meth:`sample_gates` chain a per-step draw runs — in the caller's
-        dtype scope — so the stream *and* the sampled paths are
-        bit-identical to drawing lazily.  Returns ``(gates, sels)`` with
-        ``gates`` a list of hard one-hot arrays and ``sels`` their
-        per-layer argmax tuples; epoch plans key on ``tuple(sels)``.
-        """
-        gates, sels = [], []
-        with nn.no_grad():
-            frozen = alpha.detach()
-            for _ in range(n_draws):
-                _, hard = self.sample_gates(frozen, step)
-                gates.append(hard.data)
-                sels.append(tuple(int(k) for k in
-                                  np.argmax(hard.data, axis=1)))
-        return gates, sels
-
-    def selection_signature(self, alpha_data: np.ndarray, step: int,
-                            noise: np.ndarray) -> Tuple[int, ...]:
-        """The per-layer argmax the sampled gates will select, computed with
-        raw numpy replicating the op chain bit-for-bit.
-
-        Float softmax chains are not monotonicity-safe, so the plan key must
-        come from the *exact* arithmetic the traced step performs — the
-        :meth:`gates_vjp` forward.  Engines key compiled plans on this
-        signature so a replay can never silently follow a stale single-path
-        selection.
-        """
-        a = np.asarray(alpha_data)
-        hard, _ = self.gates_vjp(
-            a, np.asarray(noise, dtype=a.dtype),
-            np.asarray(1.0 / self.schedule.at(step), dtype=a.dtype))
-        return tuple(int(k) for k in np.argmax(hard, axis=-1))
 
     def sample_gates(self, alpha: nn.Tensor, step: int,
                      deterministic: bool = False,
                      noise: Optional[np.ndarray] = None,
-                     inv_tau: Optional[nn.Tensor] = None,
                      ) -> Tuple[nn.Tensor, nn.Tensor]:
         """Draw ``(P̂, P̄)`` for one search step.
 
@@ -128,19 +86,13 @@ class GumbelSampler:
         ``deterministic=True`` suppresses the Gumbel noise (used by tests
         and by final-architecture extraction, where Eq. 4 is the argmax of
         ``α`` itself).  ``noise`` supplies a pre-drawn Gumbel sample (see
-        :meth:`draw_noise`) and ``inv_tau`` a ``1/τ`` tensor — step plans
-        use both to turn the stochastic parts of the chain into per-step
-        inputs while computing bit-identical values.
+        :meth:`draw_noise`).
         """
         log_probs = F.log_softmax(alpha, axis=-1)
         if noise is None and not deterministic:
             noise = self.draw_noise(alpha.shape)
-        if inv_tau is None:
-            relaxed = F.gumbel_softmax(log_probs, tau=self.schedule.at(step),
-                                       noise=noise, axis=-1)
-        else:
-            relaxed = F.gumbel_softmax(log_probs, noise=noise, axis=-1,
-                                       inv_tau=inv_tau)
+        relaxed = F.gumbel_softmax(log_probs, tau=self.schedule.at(step),
+                                   noise=noise, axis=-1)
         hard = F.hard_binarize_ste(relaxed, axis=-1)
         return relaxed, hard
 

@@ -112,19 +112,6 @@ class LightNASConfig:
     compute_dtype: str = "float64"
     #: when True, per-op wall time is profiled and journalled every epoch
     profile_ops: bool = False
-    #: compile supernet train/α/warmup steps into trace-once/replay-many
-    #: plans (bit-identical to the eager engine; ``False`` or the
-    #: ``repro.nn.plans(False)`` context falls back to eager execution)
-    use_plans: bool = True
-    #: fuse replayed kernels (conv/BN folding, elementwise chain packing,
-    #: stacked multi-path 1×1 convs) and compile whole epochs into chained
-    #: replay schedules.  Every fused site is accepted only after a
-    #: build-time bitwise probe, so results are identical either way; set
-    #: ``False`` (or pass ``--no-fusion`` on the CLI, or wrap in
-    #: ``repro.nn.fusion(False)``) to replay unfused plans when isolating a
-    #: suspected fusion issue.  Excluded from the config fingerprint:
-    #: checkpoints are interchangeable across this flag.
-    use_fusion: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("surrogate", "supernet"):
@@ -184,42 +171,6 @@ class LightNASConfig:
         return cls(**defaults)
 
 
-class _EpochPlan:
-    """A whole epoch compiled as a chain of step-plan replays.
-
-    Once every step of an epoch replays its compiled :class:`~repro.nn.plan.
-    StepPlan`, the epoch itself becomes a flat schedule: per step, one plan
-    replay plus the pre-bound in-place optimizer updates for exactly the
-    leaves that plan produces gradients for.  Replaying the chain skips the
-    per-step plan-cache probe, ``zero_grad`` sweeps (leaf slots are
-    overwritten by each replay's gradient assignment), and optimizer
-    ``grad is None`` scans.  Instances live in the owning
-    :class:`~repro.nn.plan.StepProgram`'s epoch-plan LRU, so they share its
-    capacity budget and journal counters.
-
-    ``sels`` bakes the per-step sampled paths: w-epochs key on them (a new
-    selection sequence is simply a different epoch plan), while α-epochs
-    verify them step-by-step against the live selection signature and
-    invalidate gracefully on drift.  A chained step plan that was evicted
-    from the LRU (``plan.released``) poisons the whole epoch plan — its
-    arena buffers may have been reused — so holders must check
-    :meth:`stale` before replaying.
-    """
-
-    __slots__ = ("kind", "step_plans", "updates", "sels")
-
-    def __init__(self, kind: str, step_plans: list, updates: list,
-                 sels: tuple) -> None:
-        self.kind = kind
-        self.step_plans = step_plans
-        self.updates = updates
-        self.sels = sels
-
-    def stale(self) -> bool:
-        """True when any chained step plan was evicted (never replay then)."""
-        return any(plan.released for plan in self.step_plans)
-
-
 class LightNAS:
     """The one-time hardware-constrained differentiable search.
 
@@ -270,11 +221,6 @@ class LightNAS:
             # float64 (default) keeps seeded searches bit-identical
             with nn.dtype_scope(config.compute_dtype):
                 self.supernet = SuperNet(self.space, self.rng)
-        # one plan cache covers all step kinds; keys are prefixed with the
-        # step family ("w" / "alpha" / "warmup") plus the sampled path and
-        # batch shape, so Gumbel samples re-hit their compiled plan
-        self.programs = nn.StepProgram("lightnas")
-        self._use_plans = config.use_plans and config.mode == "supernet"
         self._alpha_step: Optional[SurrogateStep] = None
         if config.mode == "surrogate":
             self._alpha_step = SurrogateStep(
@@ -355,8 +301,6 @@ class LightNAS:
                 f"with the original configuration or start a fresh search"
             )
         try:
-            # in-place copies: parameter arrays keep their identity so any
-            # compiled step plans stay bound to the live α / λ storage
             np.copyto(alpha.data, arrays["alpha"])
             alpha_opt.load_state_arrays({
                 key[len("alpha_opt."):]: value
@@ -498,8 +442,6 @@ class LightNAS:
             )
             if op_prof is not None:
                 epoch_fields["op_profile"] = op_prof.as_dict()
-            if self._use_plans:
-                epoch_fields["plan_stats"] = self.programs.stats()
             journal.epoch(**epoch_fields)
             if verbose:
                 print(
@@ -524,7 +466,7 @@ class LightNAS:
             num_search_steps=steps,
             metric_name=cfg.metric_name,
         )
-        end_fields = dict(
+        journal.run_end(
             final_predicted_metric=round(result.predicted_metric, 6),
             final_lambda=round(result.final_lambda, 6),
             constraint_error=round(result.constraint_error, 6),
@@ -533,9 +475,6 @@ class LightNAS:
             wall_time_s=round(time.perf_counter() - run_start, 6),
             phase_timers=timers.as_dict(),
         )
-        if self._use_plans:
-            end_fields["plan_stats"] = self.programs.stats()
-        journal.run_end(**end_fields)
         return result
 
     # ------------------------------------------------------------------
@@ -544,88 +483,18 @@ class LightNAS:
         """One epoch of supernet weight training on the train fold."""
         cfg = self.config
         self.supernet.train(True)
-        if not self._use_plans:
-            with nn.dtype_scope(cfg.compute_dtype):
-                for _ in range(cfg.steps_per_epoch):
-                    batch = self.task.sample_batch(self.task.train,
-                                                   cfg.batch_size)
-                    with nn.no_grad():
-                        _, gates_const = sampler.sample_gates(
-                            alpha.detach(), epoch)
-                    logits = self.supernet.forward_single_path(
-                        nn.Tensor(batch.images), nn.Tensor(gates_const.data)
-                    )
-                    loss = F.cross_entropy(logits, batch.labels)
-                    w_opt.zero_grad()
-                    loss.backward()
-                    w_opt.step()
-            return
-        num_classes = self.space.macro.num_classes
-        with nn.dtype_scope(cfg.compute_dtype), \
-                nn.plan.fusion(cfg.use_fusion):
-            # α is frozen for the whole w-epoch, so the epoch's Gumbel
-            # draws can be hoisted upfront (same RNG calls, same order —
-            # batches come from the task's independent stream) and the
-            # selection sequence becomes the epoch identity: once every
-            # step of a sequence has a compiled plan, the epoch itself
-            # replays as one flat chain of plan replays + in-place
-            # optimizer updates, skipping per-step cache probes,
-            # zero_grad sweeps, and grad-None scans.
-            gates_list, sels = sampler.predraw_epoch(
-                alpha, epoch, cfg.steps_per_epoch)
-            epoch_key = ("w-epoch", tuple(sels), cfg.batch_size)
-            ep = self.programs.epoch_plan(epoch_key)
-            if ep is not None and ep.stale():
-                self.programs.invalidate_epoch_plan(epoch_key)
-                ep = None
-            if ep is not None:
-                prof = nn.profiler.active_profile()
-                for plan, updates in zip(ep.step_plans, ep.updates):
-                    batch = self.task.sample_batch(self.task.train,
-                                                   cfg.batch_size)
-                    targets = F.one_hot(batch.labels, num_classes)
-                    plan.replay({"images": batch.images,
-                                 "targets": targets}, prof)
-                    self.programs.replays += 1
-                    w_opt.begin_step()
-                    for update in updates:
-                        update()
-                self.programs.epoch_plan_hits += 1
-                return
-            chained = []
-            for sel, gates_arr in zip(sels, gates_list):
-                batch = self.task.sample_batch(self.task.train,
-                                               cfg.batch_size)
-                # hard gates are exactly one-hot, so the sampled path is
-                # the whole story: steps with the same selections replay
-                # the same compiled plan regardless of epoch / temperature
-                targets = F.one_hot(batch.labels, num_classes)
-
-                def fn(ts, gates_arr=gates_arr):
-                    logits = self.supernet.forward_single_path(
-                        ts["images"], nn.Tensor(gates_arr))
-                    return {"loss": F.cross_entropy(
-                        logits, targets=ts["targets"])}
-
+        with nn.dtype_scope(cfg.compute_dtype):
+            for _ in range(cfg.steps_per_epoch):
+                batch = self.task.sample_batch(self.task.train, cfg.batch_size)
+                with nn.no_grad():
+                    _, gates_const = sampler.sample_gates(alpha.detach(), epoch)
+                logits = self.supernet.forward_single_path(
+                    nn.Tensor(batch.images), nn.Tensor(gates_const.data)
+                )
+                loss = F.cross_entropy(logits, batch.labels)
                 w_opt.zero_grad()
-                self.programs.run(
-                    ("w", sel, batch.images.shape),
-                    {"images": batch.images, "targets": targets}, fn)
+                loss.backward()
                 w_opt.step()
-                if self.programs.last_event == "replay":
-                    chained.append(self.programs.last_plan)
-            if len(chained) == cfg.steps_per_epoch:
-                # every step replayed a compiled plan → the epoch is fully
-                # compiled; bind each plan's gradient leaves to their
-                # in-place SGD updates and cache the chain
-                updates = [
-                    w_opt.bind_param_updates(
-                        [t for t, _ in plan._leaf_assigns])
-                    for plan in chained
-                ]
-                self.programs.store_epoch_plan(
-                    epoch_key,
-                    _EpochPlan("w", chained, updates, tuple(sels)))
 
     def _update_alpha_epoch(self, sampler: GumbelSampler, alpha: nn.Parameter,
                             alpha_opt: nn.Optimizer, lam: LagrangeMultiplier,
@@ -637,126 +506,32 @@ class LightNAS:
         (previously the recorded series was a stale constant 0.0).
         """
         cfg = self.config
-        steps = 0
-        loss_sum = 0.0
         if cfg.mode == "surrogate":
             return self._surrogate_alpha_epoch(sampler, alpha, alpha_opt,
                                                lam, epoch)
-        if not self._use_plans:
-            for _ in range(cfg.steps_per_epoch):
-                _, gates = sampler.sample_gates(alpha, epoch)
-                valid_loss = self._validation_loss(gates)
-                loss_sum += float(valid_loss.data)
-                # The latency term uses the *deterministic* binarisation of
-                # α: Eq. (4) defines the architecture encoded by α as the
-                # per-layer argmax, so LAT(α) is the latency of that
-                # architecture, not of the Gumbel sample.  (With the sampled
-                # gates, λ's equilibrium pins the *expected* sampled latency
-                # to T while the derived argmax architecture systematically
-                # undershoots.)
-                _, det_gates = sampler.sample_gates(alpha, epoch,
-                                                    deterministic=True)
-                loss, _ = self.objective.loss(valid_loss, det_gates,
-                                              lam.as_tensor())
-                alpha_opt.zero_grad()
-                lam.param.zero_grad()
-                loss.backward()
-                alpha_opt.step()
-                lam.ascend()
-                steps += 1
-            return steps, loss_sum / max(steps, 1)
-        # Plan path: the per-step randomness (Gumbel noise, validation
-        # batch) and the annealed 1/τ are hoisted out of the traced
-        # function and become plan *inputs*; the sampled single path —
-        # computed by the bit-exact raw-numpy signature helper — joins
-        # the plan key so a replay can never follow a stale selection.
-        # The deterministic-path STE (latency term) recomputes its
-        # argmax live on replay, so λ keeps seeing LAT(argmax α).
-        #
-        # Unlike w-epochs, α moves every step, so the epoch's selection
-        # sequence cannot be predrawn.  The epoch plan is *optimistic*
-        # instead: it bakes the sequence observed when it was assembled,
-        # and each step verifies the live signature against the baked one
-        # — a mismatch invalidates the chain gracefully (counted, never
-        # wrong) and the rest of the epoch runs per-step.
-        epoch_key = ("alpha-epoch", cfg.batch_size)
-        ep = self.programs.epoch_plan(epoch_key)
-        if ep is not None and ep.stale():
-            self.programs.invalidate_epoch_plan(epoch_key)
-            ep = None
-        prof = nn.profiler.active_profile()
-        chained = []
-        with nn.plan.fusion(cfg.use_fusion):
-            for i in range(cfg.steps_per_epoch):
-                noise = sampler.draw_noise(alpha.shape)
-                sel = sampler.selection_signature(alpha.data, epoch, noise)
-                if ep is not None and sel != ep.sels[i]:
-                    self.programs.invalidate_epoch_plan(epoch_key)
-                    ep = None
-                self.supernet.train(True)
-                with nn.dtype_scope(cfg.compute_dtype):
-                    batch = self.task.sample_batch(self.task.valid,
-                                                   cfg.batch_size)
-                    targets = F.one_hot(batch.labels,
-                                        self.space.macro.num_classes)
-                    inv_tau = 1.0 / sampler.schedule.at(epoch)
-                    if ep is not None:
-                        out = ep.step_plans[i].replay(
-                            {"images": batch.images, "targets": targets,
-                             "noise": noise, "inv_tau": inv_tau}, prof)
-                        self.programs.replays += 1
-                        alpha_opt.begin_step()
-                        for update in ep.updates[i]:
-                            update()
-                    else:
-                        def fn(ts):
-                            _, gates = sampler.sample_gates(
-                                alpha, epoch, noise=ts["noise"],
-                                inv_tau=ts["inv_tau"])
-                            logits = self.supernet.forward_single_path(
-                                ts["images"], gates)
-                            valid_loss = F.cross_entropy(
-                                logits, targets=ts["targets"])
-                            _, det_gates = sampler.sample_gates(
-                                alpha, epoch, deterministic=True,
-                                inv_tau=ts["inv_tau"])
-                            loss, _ = self.objective.loss(
-                                valid_loss, det_gates, lam.as_tensor())
-                            return {"loss": loss, "valid_loss": valid_loss}
-
-                        alpha_opt.zero_grad()
-                        lam.param.zero_grad()
-                        # eager lets stale gradients accumulate through α
-                        # steps on the supernet weights and the frozen
-                        # predictor (discarded unread); the plan's leaf
-                        # slots want a clean start instead
-                        self.supernet.zero_grad()
-                        pred_model = getattr(self.predictor, "_model", None)
-                        if pred_model is not None:  # analytic predictors
-                            pred_model.zero_grad()  # are gradless
-                        out = self.programs.run(
-                            ("alpha", sel, batch.images.shape),
-                            {"images": batch.images, "targets": targets,
-                             "noise": noise, "inv_tau": inv_tau}, fn)
-                        if self.programs.last_event == "replay":
-                            chained.append(
-                                (sel, self.programs.last_plan))
-                        alpha_opt.step()
-                loss_sum += float(out["valid_loss"])
-                lam.ascend()
-                steps += 1
-        if ep is not None:
-            self.programs.epoch_plan_hits += 1
-        elif len(chained) == cfg.steps_per_epoch:
-            # every step replayed and the chain spans the whole epoch (an
-            # epoch that started on a — since invalidated — chain cannot
-            # reassemble this epoch: its early steps left no plan record)
-            alpha_updates = alpha_opt.bind_param_updates([alpha])
-            self.programs.store_epoch_plan(
-                epoch_key,
-                _EpochPlan("alpha", [plan for _, plan in chained],
-                           [alpha_updates] * len(chained),
-                           tuple(s for s, _ in chained)))
+        steps = 0
+        loss_sum = 0.0
+        for _ in range(cfg.steps_per_epoch):
+            _, gates = sampler.sample_gates(alpha, epoch)
+            valid_loss = self._validation_loss(gates)
+            loss_sum += float(valid_loss.data)
+            # The latency term uses the *deterministic* binarisation of
+            # α: Eq. (4) defines the architecture encoded by α as the
+            # per-layer argmax, so LAT(α) is the latency of that
+            # architecture, not of the Gumbel sample.  (With the sampled
+            # gates, λ's equilibrium pins the *expected* sampled latency
+            # to T while the derived argmax architecture systematically
+            # undershoots.)
+            _, det_gates = sampler.sample_gates(alpha, epoch,
+                                                deterministic=True)
+            loss, _ = self.objective.loss(valid_loss, det_gates,
+                                          lam.as_tensor())
+            alpha_opt.zero_grad()
+            lam.param.zero_grad()
+            loss.backward()
+            alpha_opt.step()
+            lam.ascend()
+            steps += 1
         return steps, loss_sum / max(steps, 1)
 
     def _surrogate_alpha_epoch(self, sampler: GumbelSampler,
@@ -812,29 +587,6 @@ class LightNAS:
         was_training = self.supernet.training
         self.supernet.eval()
         try:
-            if self._use_plans:
-                # forward-only plan (grad=False): BatchNorm eval statistics
-                # enter through standing views + replay effects, so the
-                # replayed eval tracks the training running stats exactly
-                gates_arr = gates.data
-                sel = tuple(int(k) for k in np.argmax(gates_arr, axis=1))
-                with nn.dtype_scope(cfg.compute_dtype), \
-                        nn.plan.fusion(cfg.use_fusion):
-                    targets = F.one_hot(batch.labels,
-                                        self.space.macro.num_classes)
-
-                    def fn(ts, gates_arr=gates_arr):
-                        with nn.no_grad():
-                            logits = self.supernet.forward_single_path(
-                                ts["images"], nn.Tensor(gates_arr))
-                            return {"loss": F.cross_entropy(
-                                logits, targets=ts["targets"])}
-
-                    out = self.programs.run(
-                        ("warmup", sel, batch.images.shape),
-                        {"images": batch.images, "targets": targets}, fn,
-                        grad=False)
-                return float(out["loss"])
             # no_grad + tape-free ops: this eval allocates zero closures
             with nn.dtype_scope(cfg.compute_dtype), nn.no_grad():
                 logits = self.supernet.forward_single_path(

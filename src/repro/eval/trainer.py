@@ -95,7 +95,7 @@ def train_standalone(
         )
         # the architecture is fixed, so one plan per batch shape covers the
         # whole run (the ragged last batch gets its own key)
-        program = nn.StepProgram("standalone", compile_threshold=1)
+        program = nn.StepProgram("standalone")
         num_classes = space.macro.num_classes
 
         def step_fn(ts):

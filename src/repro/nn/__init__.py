@@ -31,8 +31,6 @@ from .plan import (
     StepProgram,
     fusion,
     fusion_enabled,
-    plans,
-    plans_enabled,
 )
 from .tensor import (
     Tensor,
@@ -52,6 +50,6 @@ __all__ = [
     "BatchNorm2d", "ReLU", "ReLU6", "Sigmoid", "Dropout", "GlobalAvgPool",
     "Flatten", "SqueezeExcite",
     "Optimizer", "SGD", "Adam", "GradientAscent", "CosineSchedule",
-    "plan", "PlanError", "BufferArena", "StepProgram", "plans", "plans_enabled",
-    "fusion", "fusion_enabled",
+    "plan", "PlanError", "BufferArena", "StepProgram", "fusion",
+    "fusion_enabled",
 ]

@@ -126,7 +126,6 @@ def gumbel_softmax(
     rng: Optional[np.random.Generator] = None,
     noise: Optional[np.ndarray] = None,
     axis: int = -1,
-    inv_tau: Optional[Tensor] = None,
 ) -> Tensor:
     """Gumbel-Softmax relaxation (Eq. 7): ``softmax((logits + G)/τ)``.
 
@@ -140,23 +139,13 @@ def gumbel_softmax(
     rng / noise:
         Either a generator used to draw fresh Gumbel noise, or an explicit
         noise array (useful for deterministic tests).  ``noise=None`` with
-        ``rng=None`` disables the noise (plain tempered softmax).  ``noise``
-        may also be a :class:`Tensor`, which lets compiled step plans feed
-        the per-step draw as an input instead of a baked constant.
-    inv_tau:
-        Optional ``1/τ`` as a tensor; when given it replaces ``tau`` so step
-        plans can treat the annealed temperature as a per-step input.  The
-        product is bit-identical because ``x * inv_tau`` is exactly the
-        ``x * (1.0 / tau)`` the scalar path computes.
+        ``rng=None`` disables the noise (plain tempered softmax).
     """
-    if inv_tau is None:
-        if tau is None or tau <= 0:
-            raise ValueError(f"gumbel_softmax temperature must be positive, got {tau}")
-        inv_tau = 1.0 / tau
+    if tau is None or tau <= 0:
+        raise ValueError(f"gumbel_softmax temperature must be positive, got {tau}")
     if noise is None:
         noise = gumbel_noise(logits.shape, rng) if rng is not None else np.zeros(logits.shape)
-    noise_t = noise if isinstance(noise, Tensor) else Tensor(noise)
-    perturbed = (logits + noise_t) * inv_tau
+    perturbed = (logits + Tensor(noise)) * (1.0 / tau)
     return softmax(perturbed, axis=axis)
 
 

@@ -43,28 +43,6 @@ class Optimizer:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Compiled-epoch support (repro.core.lightnas._EpochPlan): pre-bound
-    # per-parameter update closures so a replayed epoch applies exactly the
-    # arithmetic of step() without iterating every parameter or checking
-    # grads for None.  Closures read live hyperparameters (lr, schedules)
-    # at call time; callers must invoke begin_step() once per logical step
-    # before running them (it advances shared state such as Adam's t).
-    def begin_step(self) -> None:
-        """Advance per-step shared state; no-op for stateless updates."""
-
-    def bind_param_updates(self, params: Iterable[Tensor]) -> List:
-        """In-place update closures for ``params`` (each must be owned by
-        this optimizer and carry a gradient when the closure runs)."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _param_index(self, p: Tensor) -> int:
-        for i, q in enumerate(self.params):
-            if q is p:
-                return i
-        raise KeyError(
-            "bind_param_updates got a tensor this optimizer does not own")
-
-    # ------------------------------------------------------------------
     # Checkpoint support: internal slots (momentum buffers, Adam moments)
     # as a flat name → array mapping, round-tripping exactly.
     def state_arrays(self) -> Dict[str, np.ndarray]:
@@ -107,30 +85,19 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         for p, v, s in zip(self.params, self._velocity, self._scratch):
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            self._update(p, v, s)
-
-    def _update(self, p: Tensor, v: np.ndarray, s: np.ndarray) -> None:
-        g = p.grad
-        if self.weight_decay:
-            # g + wd·p  (scalar·array multiplies commute bitwise)
-            np.multiply(p.data, self.weight_decay, out=s)
-            np.add(g, s, out=s)
-            g = s
-        v *= self.momentum
-        v += g
-        # p ← p − lr·v
-        np.multiply(v, self.lr, out=s)
-        np.subtract(p.data, s, out=p.data)
-
-    def bind_param_updates(self, params: Iterable[Tensor]) -> List:
-        bound = []
-        for p in params:
-            i = self._param_index(p)
-            v, s = self._velocity[i], self._scratch[i]
-            bound.append(lambda p=p, v=v, s=s: self._update(p, v, s))
-        return bound
+            if self.weight_decay:
+                # g + wd·p  (scalar·array multiplies commute bitwise)
+                np.multiply(p.data, self.weight_decay, out=s)
+                np.add(g, s, out=s)
+                g = s
+            v *= self.momentum
+            v += g
+            # p ← p − lr·v
+            np.multiply(v, self.lr, out=s)
+            np.subtract(p.data, s, out=p.data)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         return {f"velocity.{i}": v.copy() for i, v in enumerate(self._velocity)}
@@ -171,55 +138,37 @@ class Adam(Optimizer):
         self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
                          for p in self.params]
         self._t = 0
-        self._bc = (1.0, 1.0)
-
-    def begin_step(self) -> None:
-        self._t += 1
-        self._bc = (1.0 - self.beta1 ** self._t, 1.0 - self.beta2 ** self._t)
 
     def step(self) -> None:
-        self.begin_step()
+        self._t += 1
+        bc1 = 1.0 - self.beta1 ** self._t
+        bc2 = 1.0 - self.beta2 ** self._t
         for p, m, v, (s1, s2) in zip(self.params, self._m, self._v,
                                      self._scratch):
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            self._update(p, m, v, s1, s2)
-
-    def _update(self, p: Tensor, m: np.ndarray, v: np.ndarray,
-                s1: np.ndarray, s2: np.ndarray) -> None:
-        bc1, bc2 = self._bc
-        g = p.grad
-        if self.weight_decay:
-            np.multiply(p.data, self.weight_decay, out=s1)
-            np.add(g, s1, out=s1)
-            g = s1
-        m *= self.beta1
-        np.multiply(g, 1 - self.beta1, out=s2)
-        m += s2
-        v *= self.beta2
-        # (1−β2)·g·g evaluates left-to-right: ((1−β2)·g)·g
-        np.multiply(g, 1 - self.beta2, out=s2)
-        np.multiply(s2, g, out=s2)
-        v += s2
-        # p ← p − (lr·(m/bc1)) / (sqrt(v/bc2) + eps); g (possibly s1)
-        # is fully consumed above, so s1 is free to hold the divisor
-        np.divide(m, bc1, out=s2)
-        np.multiply(s2, self.lr, out=s2)
-        np.divide(v, bc2, out=s1)
-        np.sqrt(s1, out=s1)
-        np.add(s1, self.eps, out=s1)
-        np.divide(s2, s1, out=s2)
-        np.subtract(p.data, s2, out=p.data)
-
-    def bind_param_updates(self, params: Iterable[Tensor]) -> List:
-        bound = []
-        for p in params:
-            i = self._param_index(p)
-            m, v = self._m[i], self._v[i]
-            s1, s2 = self._scratch[i]
-            bound.append(lambda p=p, m=m, v=v, s1=s1, s2=s2:
-                         self._update(p, m, v, s1, s2))
-        return bound
+            if self.weight_decay:
+                np.multiply(p.data, self.weight_decay, out=s1)
+                np.add(g, s1, out=s1)
+                g = s1
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=s2)
+            m += s2
+            v *= self.beta2
+            # (1−β2)·g·g evaluates left-to-right: ((1−β2)·g)·g
+            np.multiply(g, 1 - self.beta2, out=s2)
+            np.multiply(s2, g, out=s2)
+            v += s2
+            # p ← p − (lr·(m/bc1)) / (sqrt(v/bc2) + eps); g (possibly s1)
+            # is fully consumed above, so s1 is free to hold the divisor
+            np.divide(m, bc1, out=s2)
+            np.multiply(s2, self.lr, out=s2)
+            np.divide(v, bc2, out=s1)
+            np.sqrt(s1, out=s1)
+            np.add(s1, self.eps, out=s1)
+            np.divide(s2, s1, out=s2)
+            np.subtract(p.data, s2, out=p.data)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         state = {"t": np.array(self._t, dtype=np.int64)}
@@ -259,22 +208,12 @@ class GradientAscent(Optimizer):
         for p, s in zip(self.params, self._scratch):
             if p.grad is None:
                 continue
-            self._update(p, s)
-
-    def _update(self, p: Tensor, s: np.ndarray) -> None:
-        # p ← p + lr·grad, in place (bit-identical to the historical
-        # rebinding update; see SGD)
-        np.multiply(p.grad, self.lr, out=s)
-        np.add(p.data, s, out=p.data)
-        if self.floor is not None:
-            np.maximum(p.data, self.floor, out=p.data)
-
-    def bind_param_updates(self, params: Iterable[Tensor]) -> List:
-        bound = []
-        for p in params:
-            s = self._scratch[self._param_index(p)]
-            bound.append(lambda p=p, s=s: self._update(p, s))
-        return bound
+            # p ← p + lr·grad, in place (bit-identical to the historical
+            # rebinding update; see SGD)
+            np.multiply(p.grad, self.lr, out=s)
+            np.add(p.data, s, out=p.data)
+            if self.floor is not None:
+                np.maximum(p.data, self.floor, out=p.data)
 
 
 class CosineSchedule:

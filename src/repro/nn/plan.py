@@ -32,18 +32,24 @@ Architecture
   tracks adopted bytes and pool hit/miss counters; evicted plans release
   their workspaces back to the pool.
 * :class:`StepProgram` keys compiled plans by a caller key plus
-  ``(dtype, fast-kernels flag, grad flag)`` in an LRU cache, and falls back
-  to the plain eager step when plans are disabled (:func:`plans`,
-  ``--no-plans``, or ``REPRO_NN_PLANS=0``).
+  ``(dtype, fast-kernels flag, grad flag, fusion flag)`` in an LRU cache
+  and compiles a key the first time it is seen.
+
+Plans pay off only when the traced op sequence repeats, so they serve
+fixed-architecture training (:func:`repro.eval.trainer.train_standalone`,
+where one plan per batch shape replays every step).  The supernet search
+runs eagerly: each step samples a fresh single path, whose op sequence
+would almost never repeat.  Ops whose output selects control flow from
+live values — the straight-through one-hot of Gumbel sampling — have no
+lowering, so tracing one raises :class:`PlanError`.
 
 Invalidation is **loud**: a replay with a changed batch shape, missing
-input, rebound parameter storage, or drifted sampled path (the STE guard)
-raises :class:`PlanError` instead of silently reusing stale buffers.
+input, or rebound parameter storage raises :class:`PlanError` instead of
+silently reusing stale buffers.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -64,53 +70,24 @@ except ImportError:  # pragma: no cover - older/newer numpy layouts
     _parse_bmm = None
     _c_einsum = None
 
-__all__ = ["PlanError", "BufferArena", "StepPlan", "StepProgram", "plans",
-           "plans_enabled", "fusion", "fusion_enabled"]
+__all__ = ["PlanError", "BufferArena", "StepPlan", "StepProgram", "fusion",
+           "fusion_enabled"]
 
 
 class PlanError(RuntimeError):
     """A step plan could not be compiled or safely replayed.
 
     Raised instead of silently recomputing or reusing stale buffers: the
-    caller should either fix the key (recompile) or fall back to the eager
-    engine with :func:`plans` ``(False)``.
+    caller should either fix the key (recompile) or run the step eagerly.
     """
 
 
 # ----------------------------------------------------------------------
-# Global enable switch (default ON; REPRO_NN_PLANS=0 opts out process-wide)
+# Fusion switch (default ON)
 # ----------------------------------------------------------------------
-
-class _PlanMode:
-    enabled: bool = os.environ.get(
-        "REPRO_NN_PLANS", "1").strip().lower() not in ("0", "false", "off", "no")
-
-
-def plans_enabled() -> bool:
-    """Whether :class:`StepProgram` compiles/replays plans (vs eager steps)."""
-    return _PlanMode.enabled
-
-
-@contextmanager
-def plans(enabled: bool = True) -> Iterator[None]:
-    """Enable/disable step plans inside the context.
-
-    ``plans(False)`` is the eager escape hatch: every
-    :meth:`StepProgram.run` inside the context executes the plain
-    tape-based step instead of compiling or replaying a plan.
-    """
-    previous = _PlanMode.enabled
-    _PlanMode.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _PlanMode.enabled = previous
-
 
 class _FusionMode:
-    enabled: bool = os.environ.get(
-        "REPRO_NN_FUSION", "1").strip().lower() not in (
-            "0", "false", "off", "no")
+    enabled: bool = True
 
 
 def fusion_enabled() -> bool:
@@ -123,8 +100,8 @@ def fusion(enabled: bool = True) -> Iterator[None]:
     """Enable/disable the plan fusion pass inside the context.
 
     ``fusion(False)`` keeps step plans but compiles them one traced op per
-    kernel — the escape hatch (also ``--no-fusion`` / ``REPRO_NN_FUSION=0``)
-    for isolating a suspected fusion bug or benchmarking the fusion win.
+    kernel — the escape hatch for isolating a suspected fusion bug or
+    benchmarking the fusion win.
     Fusion never changes replayed bits either way: every fused kernel is
     gated by a build-time bitwise acceptance probe and rejected per-site on
     any mismatch.
@@ -252,7 +229,6 @@ _SIGNATURES: Dict[str, tuple] = {
     "conv2d_1x1": (("x", "weight", "bias", "stride"), {}),
     "conv2d_dw": (("x", "weight", "bias", "stride"), {}),
     "conv2d": (("x", "weight", "bias", "stride", "groups"), {}),
-    "ste": (("probs", "axis"), {"axis": -1}),
 }
 
 
@@ -393,8 +369,6 @@ def _build_forward(rec: _Record, plan: "StepPlan",
         def pad_kernel():
             np.copyto(interior, a)
         return pad_kernel
-    if kind == "ste":
-        return _build_ste_forward(rec, b, plan)
     if kind == "conv2d_1x1":
         return _build_conv1x1_forward(rec, b, plan, dtype)
     if kind == "conv2d_dw":
@@ -402,35 +376,6 @@ def _build_forward(rec: _Record, plan: "StepPlan",
     if kind == "conv2d":
         return _build_convgen_forward(rec, b, plan, dtype)
     raise PlanError(f"step plan cannot lower op kind {kind!r}")
-
-
-def _build_ste_forward(rec, b, plan):
-    """Hard binarize; guarded records verify the traced argmax still holds.
-
-    A *guarded* STE is one whose one-hot output selects control flow (its
-    data is consumed by a ``getitem`` record — the per-layer gate lookup of
-    ``forward_single_path``).  Since the plan baked the traced path's op
-    sequence, a drifted argmax would silently replay the wrong block; the
-    guard turns that into a loud :class:`PlanError`.  Deterministic-path STE
-    outputs that only feed the predictor stay unguarded — their argmax may
-    legitimately drift within one plan key.
-    """
-    o = rec.out.data
-    probs = b["probs"].data
-    axis = b["axis"]
-    guarded = id(rec) in plan._guarded_ste
-    baked = np.argmax(probs, axis=axis).copy()  # trace-time selections
-
-    def ste_kernel():
-        idx = np.argmax(probs, axis=axis)
-        if guarded and not np.array_equal(idx, baked):
-            raise PlanError(
-                "sampled path drifted from the traced plan: argmax of the "
-                "STE input no longer matches the compiled selections — the "
-                "plan key must include the sampled-path signature")
-        o.fill(0.0)
-        np.put_along_axis(o, np.expand_dims(idx, axis=axis), 1.0, axis=axis)
-    return ste_kernel
 
 
 def _freeze_bmm(subscripts, a, b):
@@ -485,6 +430,10 @@ def _freeze_bmm(subscripts, a, b):
                     s()
                 np.matmul(am, bm, out=dst)
             return direct
+        # run the preps first so the frozen intermediate is computed from
+        # live operands, not from the fresh prep buffers' garbage
+        for s in steps:
+            s()
         mm = np.matmul(am, bm)  # frozen intermediate; rewritten per replay
         ab = mm.reshape(shape_ab) if shape_ab is not None else mm
         if perm_ab is not None:
@@ -951,12 +900,12 @@ def _pack_schedule(plan, sched, metas):
 
     ``metas[i]`` is ``(kind, outs)`` for a packable kernel — one whose
     recomputation at the same inputs is a pure function writing exactly
-    ``outs`` — or None for a barrier (convs, reductions, effects, STE
-    guards).  Runs of ≥2 packable kernels are probed by re-executing them
-    once at build time and comparing every written buffer against its
-    traced contents; order inside a composite is unchanged, so this can
-    only fail if a kernel is not actually idempotent — in which case it
-    is rejected and the run stays unfused.
+    ``outs`` — or None for a barrier (convs, reductions, effects).  Runs
+    of ≥2 packable kernels are probed by re-executing them once at build
+    time and comparing every written buffer against its traced contents;
+    order inside a composite is unchanged, so this can only fail if a
+    kernel is not actually idempotent — in which case it is rejected and
+    the run stays unfused.
     """
     packed: List[Tuple[str, Callable[[], None]]] = []
     i, n = 0, len(sched)
@@ -1629,7 +1578,6 @@ class StepPlan:
         self.replays = 0
         self.fused_kernels = 0
         self.fusion_rejected = 0
-        self.released = False
         self._fwd: List[Tuple[str, Callable[[], None]]] = []
         self._bwd: List[Tuple[str, Callable[[], None]]] = []
         #: per-kernel (kind, written-buffers) for the chain packer; None
@@ -1646,7 +1594,6 @@ class StepPlan:
         self._guards: List[Tuple[Tensor, np.ndarray]] = []
         self._scratch: List[np.ndarray] = []
         self._conv_ws: Dict[int, dict] = {}
-        self._guarded_ste: set = set()
         self._adopted_ids: set = set()
         self._adopted: List[np.ndarray] = []
         self._records: List[_Record] = []  # keeps every traced tensor alive
@@ -1667,7 +1614,6 @@ class StepPlan:
 
     def release(self) -> None:
         """Return workspaces to the arena pool and drop adopted accounting."""
-        self.released = True
         for arr in self._scratch:
             self.arena.release(arr)
         self._scratch = []
@@ -1680,26 +1626,6 @@ class StepPlan:
     # -- compilation --------------------------------------------------
     def _compile_forward(self, tracer: _Tracer) -> None:
         produced = {id(t) for t in self._input_tensors.values()}
-        # STE outputs that select control flow (their data feeds a getitem,
-        # possibly through a detach) get the argmax drift guard
-        ste_bases: Dict[int, int] = {}
-        for tag, entry in tracer.entries:
-            if tag == "op" and entry.kind == "ste":
-                arr = entry.out.data
-                base = arr if arr.base is None else arr.base
-                ste_bases[id(base)] = id(entry)
-        if ste_bases:
-            for tag, entry in tracer.entries:
-                if tag != "op" or entry.kind != "getitem":
-                    continue
-                a = _bind(entry)["a"]
-                if isinstance(a, Tensor):
-                    arr = a.data
-                    base = arr if arr.base is None else arr.base
-                    rec_id = ste_bases.get(id(base))
-                    if rec_id is not None:
-                        self._guarded_ste.add(rec_id)
-
         # structural maps for the fusion pass: who consumes each traced
         # tensor, and which record produced it
         op_records: List[_Record] = []
@@ -1911,8 +1837,8 @@ class StepPlan:
 
         Returns the named output arrays (plan-owned: valid until the next
         replay).  Any mismatch with the traced step — different input names
-        or shapes, rebound parameter storage, drifted sampled path — raises
-        :class:`PlanError` loudly rather than reusing stale state.
+        or shapes, rebound parameter storage — raises :class:`PlanError`
+        loudly rather than reusing stale state.
         """
         if set(inputs) != set(self._inputs):
             raise PlanError(
@@ -1954,7 +1880,7 @@ class StepPlan:
 
 
 # ----------------------------------------------------------------------
-# Program: LRU plan cache + eager escape hatch
+# Program: LRU plan cache
 # ----------------------------------------------------------------------
 
 class StepProgram:
@@ -1962,105 +1888,47 @@ class StepProgram:
 
     ``run(key, inputs, fn, grad=...)`` executes one training/eval step:
 
-    * plans disabled — plain eager step (``Tensor`` per input, ``fn``,
-      ``loss.backward()``), bit-identical to the historical engine;
     * cache miss — trace ``fn`` once eagerly (which *is* that step) and
       compile it;
     * cache hit — replay the plan with zero tape construction.
 
     The caller key should capture everything that changes the traced op
-    sequence (architecture signature, batch shape); the program extends it
-    with ``(dtype, fast-kernels flag, grad flag)`` automatically.  ``fn``
-    receives ``{name: Tensor}`` and must return ``{name: Tensor}`` with a
-    ``"loss"`` entry when ``grad=True``; returned arrays are plan-owned.
-
-    Tracing costs a couple of eager steps' worth of work, so a key is only
-    compiled once it has been seen ``compile_threshold`` times — earlier
-    sightings run eagerly (bit-identical).  That keeps exploration phases
-    (near-uniform Gumbel sampling, where paths rarely repeat) at eager
-    speed while converged phases replay compiled plans.  Set
-    ``compile_threshold=1`` to compile on first sight.
+    sequence (architecture, batch shape); the program extends it with
+    ``(dtype, fast-kernels flag, grad flag, fusion flag)`` automatically.
+    ``fn`` receives ``{name: Tensor}`` and must return ``{name: Tensor}``
+    with a ``"loss"`` entry when ``grad=True``; returned arrays are
+    plan-owned.
     """
 
-    def __init__(self, name: str = "step", capacity: int = 32,
-                 compile_threshold: int = 2) -> None:
+    def __init__(self, name: str = "step", capacity: int = 32) -> None:
         self.name = name
         self.capacity = max(1, int(capacity))
-        self.compile_threshold = max(1, int(compile_threshold))
         self.arena = BufferArena()
         self._plans: "OrderedDict[tuple, StepPlan]" = OrderedDict()
-        self._seen: "OrderedDict[tuple, int]" = OrderedDict()
-        self._epoch_plans: "OrderedDict[tuple, Any]" = OrderedDict()
         self.plans_compiled = 0
         self.replays = 0
-        self.eager_steps = 0
         self.evictions = 0
         self.kernels_fused = 0
         self.fusion_rejected = 0
-        self.epoch_plans_compiled = 0
-        self.epoch_plan_hits = 0
-        self.epoch_plan_invalidations = 0
-        #: what the last run() did ("replay" | "compile" | "eager") and the
-        #: plan it used — epoch-plan assembly reads these
-        self.last_event: str = "eager"
-        self.last_plan: Optional[StepPlan] = None
 
     def __len__(self) -> int:
         return len(self._plans)
 
     def stats(self) -> Dict[str, int]:
-        """Counters for journals/benchmarks (see ISSUE acceptance list)."""
+        """Plan, arena and fusion counters for benchmarks."""
         return {
             "plans_compiled": self.plans_compiled,
             "replays": self.replays,
-            "eager_steps": self.eager_steps,
             "plan_evictions": self.evictions,
             "arena_hits": self.arena.hits,
             "arena_misses": self.arena.misses,
             "arena_bytes": self.arena.total_bytes(),
             "kernels_fused": self.kernels_fused,
             "fusion_rejected": self.fusion_rejected,
-            "epoch_plans_compiled": self.epoch_plans_compiled,
-            "epoch_plan_hits": self.epoch_plan_hits,
-            "epoch_plan_invalidations": self.epoch_plan_invalidations,
         }
-
-    def clear(self) -> None:
-        """Drop every cached plan (workspaces return to the arena pool)."""
-        self._epoch_plans.clear()
-        while self._plans:
-            _, plan = self._plans.popitem(last=False)
-            plan.release()
-            self.evictions += 1
-
-    # -- epoch plans ---------------------------------------------------
-    # Whole-epoch schedules (see core.lightnas._EpochPlan) are keyed here
-    # so they share the LRU budget and the journal/trace-summary counters
-    # with the per-step plans they chain.
-    def epoch_plan(self, key):
-        """The cached epoch plan for ``key``, or None (LRU-refreshing)."""
-        ep = self._epoch_plans.get(key)
-        if ep is not None:
-            self._epoch_plans.move_to_end(key)
-        return ep
-
-    def store_epoch_plan(self, key, ep) -> None:
-        self._epoch_plans[key] = ep
-        self.epoch_plans_compiled += 1
-        while len(self._epoch_plans) > self.capacity:
-            self._epoch_plans.popitem(last=False)
-
-    def invalidate_epoch_plan(self, key) -> None:
-        """Drop one epoch plan (baked path drifted / step plan evicted)."""
-        self._epoch_plans.pop(key, None)
-        self.epoch_plan_invalidations += 1
 
     def run(self, key, inputs: Dict[str, np.ndarray], fn,
             grad: bool = True) -> Dict[str, np.ndarray]:
-        if not _PlanMode.enabled:
-            self.eager_steps += 1
-            self.last_event, self.last_plan = "eager", None
-            return self._eager_step(inputs, fn, grad)
         if ops._TRACER is not None:
             raise PlanError("StepProgram.run cannot nest inside an active "
                             "step trace")
@@ -2072,36 +1940,17 @@ class StepProgram:
             self._plans.move_to_end(full_key)
             result = plan.replay(inputs, profiler.active_profile())
             self.replays += 1
-            self.last_event, self.last_plan = "replay", plan
             return result
-        count = self._seen.get(full_key, 0) + 1
-        self._seen[full_key] = count
-        self._seen.move_to_end(full_key)
-        while len(self._seen) > 64 * self.capacity:
-            self._seen.popitem(last=False)
-        if count < self.compile_threshold:
-            self.eager_steps += 1
-            self.last_event, self.last_plan = "eager", None
-            return self._eager_step(inputs, fn, grad)
         plan, result = self._trace(inputs, fn, grad, dtype)
         self._plans[full_key] = plan
         self.plans_compiled += 1
         self.kernels_fused += plan.fused_kernels
         self.fusion_rejected += plan.fusion_rejected
-        self.last_event, self.last_plan = "compile", plan
         while len(self._plans) > self.capacity:
             _, evicted = self._plans.popitem(last=False)
             evicted.release()
             self.evictions += 1
         return result
-
-    @staticmethod
-    def _eager_step(inputs, fn, grad) -> Dict[str, np.ndarray]:
-        tensors = {name: Tensor(value) for name, value in inputs.items()}
-        outs = fn(tensors)
-        if grad:
-            outs["loss"].backward()
-        return {name: t.data for name, t in outs.items()}
 
     def _trace(self, inputs, fn, grad,
                dtype) -> Tuple[StepPlan, Dict[str, np.ndarray]]:

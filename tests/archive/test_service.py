@@ -1,6 +1,7 @@
 """Batching predictor coalescing and the HTTP JSON API end-to-end."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -379,3 +380,36 @@ class TestRegressions:
         assert stats["predict_archs"] == len(served)
         assert stats["largest_batch"] == len(served)
         batcher.close()
+
+
+class TestListenBacklog:
+    @pytest.mark.parametrize("reuse_port", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not hasattr(socket, "SO_REUSEPORT"), reason="no SO_REUSEPORT")),
+    ])
+    def test_backlog_is_somaxconn(self, tiny_space, analytic, reuse_port):
+        service = ArchiveService(tiny_space, analytic, window_s=0.0)
+        httpd = make_server(service, port=0, reuse_port=reuse_port)
+        try:
+            assert httpd.request_queue_size == socket.SOMAXCONN
+        finally:
+            httpd.server_close()
+            service.close()
+
+    def test_connection_burst_queues_before_accept(self, tiny_space,
+                                                   analytic):
+        """16 connects complete while nothing accepts; a backlog of 5
+        would drop the later SYNs and leave those connects hanging."""
+        service = ArchiveService(tiny_space, analytic, window_s=0.0)
+        httpd = make_server(service, port=0)  # bound and listening, idle
+        clients = []
+        try:
+            for _ in range(16):
+                clients.append(socket.create_connection(
+                    ("127.0.0.1", httpd.server_address[1]), timeout=2.0))
+        finally:
+            for client in clients:
+                client.close()
+            httpd.server_close()
+            service.close()

@@ -228,3 +228,35 @@ class TestRuntimeFlags:
         summary = capsys.readouterr().out
         assert "lightnas" in summary
         assert "resumed" in summary
+        with open(trace) as handle:
+            events = [json.loads(line) for line in handle]
+        assert not any("plan_stats" in event for event in events)
+
+    def test_trace_summary_reads_plan_stats_journal(self, capsys, tmp_path):
+        """Journals from the plan-compiled search carry ``plan_stats`` in
+        epoch and run_end events; trace-summary still digests them."""
+        stats = {"plans_compiled": 1, "replays": 0, "eager_steps": 17,
+                 "arena_bytes": 10004664, "kernels_fused": 93,
+                 "fusion_rejected": 15, "epoch_plans_compiled": 0,
+                 "epoch_plan_hits": 0, "epoch_plan_invalidations": 0}
+        events = [
+            {"event": "run_header", "elapsed_s": 0.0, "engine": "lightnas",
+             "mode": "supernet", "metric_name": "latency_ms", "target": 2.3,
+             "seed": 0, "epochs": 1, "start_epoch": 0},
+            {"event": "epoch", "elapsed_s": 0.2, "epoch": 0,
+             "predicted_metric": 2.17, "target": 2.3, "lambda": 0.0,
+             "tau": 5.0, "valid_loss": 2.64, "architecture": [0, 0, 0, 0],
+             "wall_time_s": 0.17, "plan_stats": stats},
+            {"event": "run_end", "elapsed_s": 0.7,
+             "final_predicted_metric": 2.28, "final_lambda": -0.003,
+             "constraint_error": 0.007, "architecture": [4, 6, 5, 0],
+             "num_search_steps": 4, "wall_time_s": 0.67,
+             "phase_timers": {"derive": {"total_s": 0.1, "calls": 1}},
+             "plan_stats": stats},
+        ]
+        trace = tmp_path / "legacy.jsonl"
+        trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert main(["trace-summary", str(trace)]) == 0
+        summary = capsys.readouterr().out
+        assert "4,6,5,0" in summary
+        assert "1 compiled, 0 replays" in summary

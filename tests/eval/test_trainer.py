@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.eval import trainer
 from repro.eval.trainer import train_standalone
+from repro.proxy.dataset import SyntheticTask
 from repro.search_space.space import Architecture
 
 
@@ -40,3 +42,41 @@ class TestTrainStandalone:
         # state, so losses may differ slightly — final accuracy must agree
         # in distribution; here we check the training ran both times
         assert len(r1.train_losses) == len(r2.train_losses) == 2
+
+
+class TestPlanParity:
+    """Compiled step plans replay the eager tape engine bit for bit."""
+
+    def _run(self, space, arch, dtype, use_plans, monkeypatch):
+        built, build = [], trainer.build_standalone
+
+        def capture(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(trainer, "build_standalone", capture)
+        # 40 train images at batch 16: two full batches, one ragged batch
+        task = SyntheticTask(num_classes=space.macro.num_classes,
+                             resolution=space.macro.input_resolution,
+                             train_size=40, valid_size=16, seed=3)
+        report = train_standalone(space, arch, task, epochs=3,
+                                  batch_size=16, seed=1,
+                                  compute_dtype=dtype, use_plans=use_plans)
+        monkeypatch.undo()
+        return report, built[0].state_dict()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_plans_on_off_bit_identical(self, tiny_space, dtype,
+                                        monkeypatch):
+        ops = tiny_space.num_operators
+        arch = Architecture(tuple(i % ops
+                                  for i in range(tiny_space.num_layers)))
+        planned, planned_state = self._run(tiny_space, arch, dtype, True,
+                                           monkeypatch)
+        eager, eager_state = self._run(tiny_space, arch, dtype, False,
+                                       monkeypatch)
+        assert planned == eager
+        assert set(planned_state) == set(eager_state)
+        for key, value in eager_state.items():
+            assert planned_state[key].dtype == value.dtype, key
+            assert np.array_equal(planned_state[key], value), key

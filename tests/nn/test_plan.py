@@ -4,10 +4,12 @@ The contract under test is strict bit-parity: replaying a compiled
 :class:`repro.nn.plan.StepPlan` must produce exactly the arrays the eager
 tape engine produces — same loss bits, same gradient bits, same optimizer
 trajectories — across dtypes and with the fast conv kernels disabled.
-Invalidation must be loud: shape changes, input-set changes, rebound
-parameter storage, and drifted sampled paths raise :class:`PlanError`
-instead of silently replaying stale computation.
+Invalidation must be loud: shape changes, input-set changes and rebound
+parameter storage raise :class:`PlanError` instead of silently replaying
+stale computation, and so does tracing a straight-through gate.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import ops
+from repro.nn import plan as plan_mod
 from repro.nn.plan import BufferArena, PlanError, StepProgram
 
 
@@ -78,8 +81,7 @@ def run_pair(dtype="float64", steps=4, fast=True):
         with nn.dtype_scope(dtype), ops.fast_kernels(fast):
             model = make_model(np.random.default_rng(0), dtype)
             opt = nn.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            program = (StepProgram("t", compile_threshold=1)
-                       if planned else None)
+            program = StepProgram("t") if planned else None
             losses = train_steps(model, opt, xs, labels, program)
             results.append((losses, model.state_dict()))
     return results
@@ -106,7 +108,7 @@ class TestReplayBitParity:
         labels = rng_x.integers(0, 5, size=4)
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         train_steps(model, opt, xs[:1], labels, program)  # compile
         before = nn.tensor_allocations()
         train_steps(model, opt, xs[1:], labels, program)  # replays
@@ -133,7 +135,7 @@ class TestReplayBitParity:
         outs["loss"].backward()
 
         pa, pb, pw = build()
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         program.run(("k", x.shape), {"x": x},
                     lambda ts: compute(pa, pb, pw, ts["x"]))
         # replay once more on the same inputs: grads must not accumulate
@@ -151,7 +153,7 @@ class TestInvalidation:
     def _program_with_plan(self):
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         rng_x = np.random.default_rng(3)
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         labels = rng_x.integers(0, 5, size=4)
@@ -201,7 +203,7 @@ class TestInvalidation:
         xs = [rng_x.normal(size=(4, 3, 6, 6))]
         labels = rng_x.integers(0, 5, size=4)
         train_steps(model, None if False else opt, xs, labels)  # eager step
-        program = StepProgram("t", compile_threshold=1)
+        program = StepProgram("t")
         with pytest.raises(PlanError, match="zero_grad"):
             # eager left .grad set on every parameter; tracing demands a
             # clean slate — train_steps zeroes before run, so call run raw
@@ -213,7 +215,7 @@ class TestInvalidation:
     def test_lru_eviction_recycles_workspaces(self):
         model = make_model(np.random.default_rng(0))
         opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", capacity=2, compile_threshold=1)
+        program = StepProgram("t", capacity=2)
         rng_x = np.random.default_rng(3)
         labels = rng_x.integers(0, 5, size=4)
         for n in (2, 3, 4, 5):  # four distinct batch shapes, capacity 2
@@ -227,60 +229,25 @@ class TestInvalidation:
         # evicted plans returned their workspaces to the arena pool
         assert program.arena.hits + program.arena.misses > 0
 
-    def test_sampled_path_drift_raises(self):
-        # a gates tensor whose argmax drives a getitem lookup is guarded:
-        # replaying with probabilities whose argmax differs must be loud
+    def test_straight_through_gate_is_not_lowerable(self):
+        # a hard one-hot's argmax selects control flow from live values, so
+        # a baked plan could replay the wrong path: tracing one is refused
         w = nn.Parameter(np.ones((3, 3)), name="w")
 
         def fn(ts):
             relaxed = F.softmax(ts["scores"] * w, axis=-1)
             hard = F.hard_binarize_ste(relaxed, axis=-1)
-            picked = hard[0]  # getitem on the STE output → guarded
-            return {"loss": ops.mean(picked * picked)}
+            return {"loss": ops.mean(hard[0] * hard[0])}
 
-        program = StepProgram("t", compile_threshold=1)
-        scores = np.array([[3.0, 1.0, 0.5],
-                           [0.2, 2.0, 0.1],
-                           [0.3, 0.4, 4.0]])
-        program.run(("k", scores.shape), {"scores": scores}, fn)
-        w.zero_grad()
-        flipped = scores[:, ::-1].copy()  # argmax moves to another column
-        with pytest.raises(PlanError, match="drifted"):
-            program.run(("k", scores.shape), {"scores": flipped}, fn)
+        program = StepProgram("t")
+        with pytest.raises(PlanError, match="'ste'"):
+            program.run(("k", (3, 3)), {"scores": np.eye(3)}, fn)
 
 
 class TestProgramModes:
-    def test_plans_context_falls_back_to_eager(self):
-        model = make_model(np.random.default_rng(0))
-        opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=1)
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6))]
-        labels = rng_x.integers(0, 5, size=4)
-        with nn.plans(False):
-            assert not nn.plans_enabled()
-            train_steps(model, opt, xs, labels, program)
-        assert nn.plans_enabled()
-        stats = program.stats()
-        assert stats["eager_steps"] == 1
-        assert stats["plans_compiled"] == 0
-
-    def test_compile_threshold_defers_tracing(self):
-        model = make_model(np.random.default_rng(0))
-        opt = nn.SGD(model.parameters(), lr=0.05)
-        program = StepProgram("t", compile_threshold=2)
-        rng_x = np.random.default_rng(3)
-        xs = [rng_x.normal(size=(4, 3, 6, 6)) for _ in range(3)]
-        labels = rng_x.integers(0, 5, size=4)
-        train_steps(model, opt, xs, labels, program)
-        stats = program.stats()
-        assert stats["eager_steps"] == 1   # first sighting stays eager
-        assert stats["plans_compiled"] == 1  # second sighting traces
-        assert stats["replays"] == 1       # third replays
-
     def test_nested_trace_rejected(self):
-        program = StepProgram("t", compile_threshold=1)
-        inner = StepProgram("i", compile_threshold=1)
+        program = StepProgram("t")
+        inner = StepProgram("i")
         p = nn.Parameter(np.ones(3), name="p")
 
         def fn(ts):
@@ -298,3 +265,35 @@ class TestProgramModes:
         b = arena.request((4, 4), np.dtype(np.float64))
         assert b is a
         assert arena.hits == 1 and arena.misses == 1
+
+
+class TestFrozenEinsum:
+    @pytest.mark.skipif(plan_mod._parse_bmm is None,
+                        reason="numpy has no bmm einsum lowering")
+    def test_frozen_bmm_ignores_fresh_buffer_contents(self, monkeypatch):
+        """The frozen intermediate is computed from live operands: garbage
+        in a fresh transpose buffer must neither warn nor cost the site its
+        frozen kernel."""
+        rng = np.random.default_rng(0)
+        subscripts = "nchw,ck->nkhw"  # transposed lhs, permuted output
+        a = rng.normal(size=(2, 3, 4, 5))
+        b = rng.normal(size=(3, 6))
+        ref = np.einsum(subscripts, a, b, optimize=True)
+        out = np.zeros_like(ref)
+        real_empty = np.empty
+        huge = np.finfo(np.float64).max
+
+        def poisoned_empty(*args, **kwargs):
+            arr = real_empty(*args, **kwargs)
+            arr.fill(huge)
+            return arr
+
+        monkeypatch.setattr(np, "empty", poisoned_empty)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            frozen = plan_mod._freeze_bmm(subscripts, a, b)
+            kernel = plan_mod._bind_einsum(subscripts, (a, b), out,
+                                           candidate=frozen)
+            kernel()
+        assert kernel.__qualname__.startswith("_freeze_bmm.")
+        assert np.array_equal(out, ref)
