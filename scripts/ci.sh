@@ -66,6 +66,13 @@ python benchmarks/bench_parallel.py --targets 4 --epochs 30 --steps 20 \
 python -m pytest -x -q tests/fleet/ \
     tests/archive/test_service.py::TestHTTPEndpoints::test_unknown_device_is_400_naming_known
 
+# Batched archive writes: add_population against a row-by-row add reference
+# (identical WAL bytes, index arrays and records, before and after reopening
+# from the log and from a compacted segment), and a rejected batch writes
+# nothing.  Fleet write-back and campaign ingest both go through it.
+python -m pytest -x -q tests/archive/test_store.py::TestBatchParity \
+    tests/archive/test_store.py::TestRejectedBatch
+
 # Fleet benchmark at reduced size: 12 generated devices, 40-pair
 # calibration vs 2000-pair per-device MLP campaigns (the 50x-less-data /
 # tau-within-0.05 acceptance gates hold at this size too); BENCH_fleet.json

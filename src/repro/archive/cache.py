@@ -101,7 +101,8 @@ class EvalCache:
         self._oracle_fp = (oracle_fingerprint(oracle)
                            if oracle is not None else "")
         self._pred: Dict[Tuple[int, ...], float] = {}
-        self._fit: Dict[Tuple[Tuple[int, ...], int], float] = {}
+        #: genotype → {epochs: top-1}, epochs in first-computed order
+        self._fit: Dict[Tuple[int, ...], Dict[int, float]] = {}
         self._dirty: Set[Tuple[int, ...]] = set()
         self.predict_hits = self.predict_misses = 0
         self.fitness_hits = self.fitness_misses = 0
@@ -122,7 +123,7 @@ class EvalCache:
                         and name.endswith(fit_suffix)):
                     epochs = name[len(fit_prefix):-len(fit_suffix)]
                     if epochs.isdigit():
-                        self._fit[(ops, int(epochs))] = value
+                        self._fit.setdefault(ops, {})[int(epochs)] = value
 
     # ------------------------------------------------------------------
     # Predictor path
@@ -169,14 +170,14 @@ class EvalCache:
         """Memoized ``oracle.evaluate(arch, epochs=epochs).top1``."""
         if self.oracle is None:
             raise ValueError("this cache has no oracle")
-        key = (arch.op_indices, int(epochs))
-        value = self._fit.get(key)
+        by_epochs = self._fit.setdefault(arch.op_indices, {})
+        value = by_epochs.get(int(epochs))
         if value is not None:
             self.fitness_hits += 1
             return value
         self.fitness_misses += 1
         value = self.oracle.evaluate(arch, epochs=epochs).top1
-        self._fit[key] = value
+        by_epochs[int(epochs)] = value
         self._dirty.add(arch.op_indices)
         return value
 
@@ -222,10 +223,9 @@ class EvalCache:
             pred = self._pred.get(ops)
             if pred is not None and self._pred_fp:
                 extras[f"pred:{self._pred_fp}"] = pred
-            for (fit_ops, epochs), value in self._fit.items():
-                if fit_ops == ops:
-                    extras[f"top1_e{epochs}:{self._oracle_fp}"] = value
-                    score = value if score is None else max(score, value)
+            for epochs, value in self._fit.get(ops, {}).items():
+                extras[f"top1_e{epochs}:{self._oracle_fp}"] = value
+                score = value if score is None else max(score, value)
             if not extras:
                 continue
             self.archive.add(ops, extras=extras, score=score,

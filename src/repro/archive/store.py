@@ -67,6 +67,7 @@ __all__ = [
     "ArchiveIndex",
     "ArchitectureArchive",
     "arch_key",
+    "arch_keys",
     "repair_archive",
 ]
 
@@ -82,26 +83,44 @@ GLOBAL_METRICS = ("macs_m", "params_m", "score")
 
 _METRIC_POS = {name: i for i, name in enumerate(DEVICE_COST_METRICS)}
 
+#: ``json.dumps`` with default settings minus the cycle check (a record
+#: payload is a tree), so the bytes are those of ``json.dumps``
+_dumps = json.JSONEncoder(check_circular=False).encode
+
 
 # ----------------------------------------------------------------------
 # Content addressing
 # ----------------------------------------------------------------------
 
-def arch_key(op_indices: Sequence[int], num_operators: int) -> str:
-    """Content address of an architecture: SHA-1 of its one-hot encoding.
+def arch_keys(ops: np.ndarray, num_operators: int) -> List[str]:
+    """Content addresses of a population: SHA-1 of each row's one-hot encoding.
 
-    The hash covers the full ``(L, K)`` ᾱ matrix bytes (not just the op
-    indices), so the address is exactly "the one-hot encoding's hash" and
-    two spaces with different operator vocabularies never share keys.
+    The hash covers the full ``(L, K)`` ᾱ matrix bytes of each genotype (not
+    just the op indices), so the address is exactly "the one-hot encoding's
+    hash" and two spaces with different operator vocabularies never share
+    keys.  ``ops`` is an ``(N, L)`` array; the one-hot is built once for the
+    whole batch.
     """
+    ops = np.asarray(ops, dtype=np.int64)
+    if ops.ndim != 2 or ops.shape[1] == 0:
+        raise ValueError("op_indices must be non-empty genotype rows")
+    if ops.size and (ops.min() < 0 or ops.max() >= num_operators):
+        raise ValueError("operator index out of range for this space")
+    n, layers = ops.shape
+    width = layers * num_operators
+    one_hot = np.zeros((n, width), dtype=np.uint8)
+    one_hot[np.arange(n)[:, None], np.arange(layers) * num_operators + ops] = 1
+    raw = one_hot.tobytes()
+    return [sha1(raw[i * width:(i + 1) * width]).hexdigest()[:16]
+            for i in range(n)]
+
+
+def arch_key(op_indices: Sequence[int], num_operators: int) -> str:
+    """Content address of one architecture (see :func:`arch_keys`)."""
     ops = np.asarray(op_indices, dtype=np.int64)
     if ops.ndim != 1 or ops.size == 0:
         raise ValueError("op_indices must be a non-empty 1-D sequence")
-    if ops.min() < 0 or ops.max() >= num_operators:
-        raise ValueError("operator index out of range for this space")
-    one_hot = np.zeros((ops.size, num_operators), dtype=np.uint8)
-    one_hot[np.arange(ops.size), ops] = 1
-    return sha1(one_hot.tobytes()).hexdigest()[:16]
+    return arch_keys(ops[None], num_operators)[0]
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +381,25 @@ class _LiveIndex:
                 if m is not None:
                     self.cost[row, d, m] = value
 
+    def append_rows(self, ops: np.ndarray) -> np.ndarray:
+        """Append genotype rows (metrics NaN); returns their row numbers."""
+        start = self.n
+        self._grow_rows(start + len(ops))
+        self.ops[start:start + len(ops)] = ops
+        self.n += len(ops)
+        return np.arange(start, self.n, dtype=np.intp)
+
+    def write_columns(self, rows: np.ndarray, device: Optional[str],
+                      metrics: Dict[str, np.ndarray],
+                      scalars: Dict[str, np.ndarray]) -> None:
+        """Bulk twin of :meth:`update`: ``rows`` must be distinct."""
+        for name, values in scalars.items():
+            getattr(self, name)[rows] = values
+        if metrics:
+            d = self.ensure_device(device)
+            for metric, values in metrics.items():
+                self.cost[rows, d, _METRIC_POS[metric]] = values
+
     def snapshot(self, keys: Tuple[str, ...]) -> ArchiveIndex:
         n = self.n
 
@@ -599,25 +637,36 @@ class ArchitectureArchive:
 
     def _merge(self, record: ArchRecord) -> None:
         with self._lock:
-            row = self._row_of.get(record.key)
+            live = self._live_index()
+            row = self._merge_keyed(record, live.n)
             if row is None:
-                row = self._live_index().append(record)
-                self._row_of[record.key] = row
-                self._order.append(record.key)
-                self._records[record.key] = record
+                live.append(record)
             else:
-                self._live_index().update(row, record)
-                existing = self._records.get(record.key)
-                if existing is not None:
-                    existing.merge(record)
-                else:
-                    # segment row not yet materialized — stage the merge
-                    pending = self._pending.get(record.key)
-                    if pending is None:
-                        self._pending[record.key] = record
-                    else:
-                        pending.merge(record)
+                live.update(row, record)
             self._snapshot = None
+
+    def _merge_keyed(self, record: ArchRecord,
+                     new_row: int) -> Optional[int]:
+        """Fold ``record`` into the per-key state; the index is the caller's.
+
+        Returns the genotype's existing index row, or ``None`` after
+        registering it as a new genotype at ``new_row``.
+        """
+        row = self._row_of.get(record.key)
+        if row is None:
+            self._row_of[record.key] = new_row
+            self._order.append(record.key)
+            self._records[record.key] = record
+            return None
+        existing = self._records.get(record.key)
+        if existing is None:
+            # segment row not yet materialized — stage the merge
+            existing = self._pending.get(record.key)
+            if existing is None:
+                self._pending[record.key] = record
+                return row
+        existing.merge(record)
+        return row
 
     def _ensure_records(self) -> None:
         """Materialize every record (lazy segment aux read)."""
@@ -664,20 +713,39 @@ class ArchitectureArchive:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def _check_layers(self, op_indices: Sequence[int]) -> None:
+        if len(op_indices) != self.num_layers:
+            raise ValueError(
+                f"record has {len(op_indices)} layers, archive "
+                f"expects {self.num_layers}")
+
     def add_record(self, record: ArchRecord, flush: bool = True) -> None:
         """Append one record (merged into the in-memory view)."""
-        if len(record.op_indices) != self.num_layers:
-            raise ValueError(
-                f"record has {len(record.op_indices)} layers, archive "
-                f"expects {self.num_layers}")
+        self._check_layers(record.op_indices)
         if record.key != arch_key(record.op_indices, self.num_operators):
             raise ValueError("record key does not match its op_indices")
+        self._append(record, flush)
+
+    def _append(self, record: ArchRecord, flush: bool) -> None:
+        """Write and merge one record whose key the caller computed."""
         with self._lock:
             self._require_writable("add_record")
-            self._handle.write(_frame(json.dumps(record.to_payload())))
+            self._handle.write(_frame(_dumps(record.to_payload())))
             if flush:
                 self._handle.flush()
             self._merge(record)
+
+    @staticmethod
+    def _provenance(engine: str, seed: Optional[int],
+                    config_fingerprint: str) -> Dict[str, object]:
+        provenance: Dict[str, object] = {}
+        if engine:
+            provenance["engine"] = engine
+        if seed is not None:
+            provenance["seed"] = int(seed)
+        if config_fingerprint:
+            provenance["fingerprint"] = config_fingerprint
+        return provenance
 
     def add(self, op_indices: Sequence[int], *,
             device: Optional[str] = None,
@@ -701,13 +769,7 @@ class ArchitectureArchive:
         ) if value is not None}
         if metrics and device is None:
             raise ValueError("per-device metrics require device=...")
-        provenance: Dict[str, object] = {}
-        if engine:
-            provenance["engine"] = engine
-        if seed is not None:
-            provenance["seed"] = int(seed)
-        if config_fingerprint:
-            provenance["fingerprint"] = config_fingerprint
+        self._check_layers(ops)
         record = ArchRecord(
             op_indices=ops,
             key=arch_key(ops, self.num_operators),
@@ -716,9 +778,9 @@ class ArchitectureArchive:
             params_m=None if params_m is None else float(params_m),
             score=None if score is None else float(score),
             extras={k: float(v) for k, v in (extras or {}).items()},
-            provenance=provenance,
+            provenance=self._provenance(engine, seed, config_fingerprint),
         )
-        self.add_record(record, flush=flush)
+        self._append(record, flush)
         return record
 
     def add_population(self, ops: np.ndarray, *,
@@ -734,31 +796,85 @@ class ArchitectureArchive:
                        config_fingerprint: str = "") -> int:
         """Record a whole population with aligned per-arch metric arrays.
 
-        Serialisation is necessarily per-record, but the file is flushed
-        once for the whole batch; returns the number of records written.
+        The whole batch is validated before anything is written, so a
+        rejected batch leaves the archive untouched.  The keys are hashed
+        from one one-hot matrix, the framed lines go out in one write and
+        one flush, and the index takes bulk column writes.  The WAL bytes,
+        index and records are exactly those of calling :meth:`add` row by
+        row (a genotype repeated within the batch merges, last write
+        wins).  Returns the number of rows written.
         """
         ops = np.asarray(ops, dtype=np.int64)
         if ops.ndim != 2 or ops.shape[1] != self.num_layers:
             raise ValueError(
                 f"ops must be (N, {self.num_layers}), got {ops.shape}")
-        self._require_writable("add_population")
+        n = len(ops)
 
-        def cell(array, i):
-            return None if array is None else float(array[i])
+        def columns(named) -> Dict[str, np.ndarray]:
+            out = {}
+            for name, values in named:
+                if values is None:
+                    continue
+                values = np.asarray(values, dtype=np.float64)
+                if values.shape != (n,):
+                    raise ValueError(
+                        f"{name} must be a 1-D array of length {n}, got "
+                        f"shape {values.shape}")
+                out[name] = values
+            return out
+
+        metrics = columns((("latency_ms", latency_ms),
+                           ("energy_mj", energy_mj),
+                           ("measured_latency_ms", measured_latency_ms),
+                           ("measured_energy_mj", measured_energy_mj)))
+        scalars = columns((("macs_m", macs_m), ("params_m", params_m),
+                           ("score", score)))
+        if metrics and device is None:
+            raise ValueError("per-device metrics require device=...")
+        keys = arch_keys(ops, self.num_operators)
+        provenance = self._provenance(engine, seed, config_fingerprint)
+
+        def row_dicts(named: Dict[str, np.ndarray]) -> List[dict]:
+            if not named:
+                return [{}] * n
+            return [dict(zip(named, values)) for values in
+                    zip(*(v.tolist() for v in named.values()))]
+
+        records = [
+            ArchRecord(op_indices=tuple(row), key=key,
+                       devices={device: cells} if cells else {},
+                       provenance=dict(provenance), **fields)
+            for row, key, cells, fields in zip(
+                ops.tolist(), keys, row_dicts(metrics), row_dicts(scalars))]
+        text = "".join(_frame(_dumps(r.to_payload())) for r in records)
+        # each genotype's last row in the batch, in first-seen order
+        last = {key: i for i, key in enumerate(keys)}
 
         with self._lock:
-            for i, row in enumerate(ops.tolist()):
-                self.add(row, device=device,
-                         latency_ms=cell(latency_ms, i),
-                         energy_mj=cell(energy_mj, i),
-                         measured_latency_ms=cell(measured_latency_ms, i),
-                         measured_energy_mj=cell(measured_energy_mj, i),
-                         macs_m=cell(macs_m, i), params_m=cell(params_m, i),
-                         score=cell(score, i),
-                         engine=engine, seed=seed,
-                         config_fingerprint=config_fingerprint, flush=False)
+            self._require_writable("add_population")
+            if n == 0:
+                return 0
+            self._handle.write(text)
             self._handle.flush()
-        return len(ops)
+            live = self._live_index()
+            new_src: List[int] = []
+            old_src: List[int] = []
+            old_rows: List[int] = []
+            for i in last.values():
+                row = self._merge_keyed(records[i], live.n + len(new_src))
+                if row is None:
+                    new_src.append(i)
+                else:
+                    old_src.append(i)
+                    old_rows.append(row)
+            src = np.asarray(new_src + old_src, dtype=np.intp)
+            rows = np.concatenate([live.append_rows(ops[new_src]),
+                                   np.asarray(old_rows, dtype=np.intp)])
+            live.write_columns(rows, device,
+                               {name: v[src] for name, v in metrics.items()},
+                               {name: v[src] for name, v in scalars.items()})
+            self._snapshot = None
+        return n
 
     # ------------------------------------------------------------------
     # Compaction

@@ -509,29 +509,40 @@ class LightNAS:
         if cfg.mode == "surrogate":
             return self._surrogate_alpha_epoch(sampler, alpha, alpha_opt,
                                                lam, epoch)
+        # ∂L/∂α and ∂L/∂λ are all the step reads: freezing the supernet and
+        # predictor weights keeps backward from computing theirs.
+        frozen = [p for p in self.supernet.parameters() + [
+            q for layer in getattr(self.predictor, "layers", ())
+            for q in layer.parameters()] if p.requires_grad]
+        for p in frozen:
+            p.requires_grad = False
         steps = 0
         loss_sum = 0.0
-        for _ in range(cfg.steps_per_epoch):
-            _, gates = sampler.sample_gates(alpha, epoch)
-            valid_loss = self._validation_loss(gates)
-            loss_sum += float(valid_loss.data)
-            # The latency term uses the *deterministic* binarisation of
-            # α: Eq. (4) defines the architecture encoded by α as the
-            # per-layer argmax, so LAT(α) is the latency of that
-            # architecture, not of the Gumbel sample.  (With the sampled
-            # gates, λ's equilibrium pins the *expected* sampled latency
-            # to T while the derived argmax architecture systematically
-            # undershoots.)
-            _, det_gates = sampler.sample_gates(alpha, epoch,
-                                                deterministic=True)
-            loss, _ = self.objective.loss(valid_loss, det_gates,
-                                          lam.as_tensor())
-            alpha_opt.zero_grad()
-            lam.param.zero_grad()
-            loss.backward()
-            alpha_opt.step()
-            lam.ascend()
-            steps += 1
+        try:
+            for _ in range(cfg.steps_per_epoch):
+                _, gates = sampler.sample_gates(alpha, epoch)
+                valid_loss = self._validation_loss(gates)
+                loss_sum += float(valid_loss.data)
+                # The latency term uses the *deterministic* binarisation of
+                # α: Eq. (4) defines the architecture encoded by α as the
+                # per-layer argmax, so LAT(α) is the latency of that
+                # architecture, not of the Gumbel sample.  (With the sampled
+                # gates, λ's equilibrium pins the *expected* sampled latency
+                # to T while the derived argmax architecture systematically
+                # undershoots.)
+                _, det_gates = sampler.sample_gates(alpha, epoch,
+                                                    deterministic=True)
+                loss, _ = self.objective.loss(valid_loss, det_gates,
+                                              lam.as_tensor())
+                alpha_opt.zero_grad()
+                lam.param.zero_grad()
+                loss.backward()
+                alpha_opt.step()
+                lam.ascend()
+                steps += 1
+        finally:
+            for p in frozen:
+                p.requires_grad = True
         return steps, loss_sum / max(steps, 1)
 
     def _surrogate_alpha_epoch(self, sampler: GumbelSampler,

@@ -6,6 +6,8 @@ bit-identical :class:`SearchResult` while answering >0 evaluations from
 cache (visible in the journal's ``run_end`` event).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -91,14 +93,21 @@ class TestArchiveRoundTrip:
         rng = np.random.default_rng(5)
         ops = tiny_space.sample_indices(12, rng)
         arch = Architecture(tuple(ops[0].tolist()))
+        # a genotype with fitness at several epochs but no prediction yet
+        seen = set(map(tuple, ops.tolist()))
+        extra = next(Architecture(tuple(row)) for row in
+                     tiny_space.sample_indices(64, rng).tolist()
+                     if tuple(row) not in seen)
+        epochs = (100, 20, 50)
 
         with ArchitectureArchive(path, space=tiny_space) as arc:
             cache = EvalCache(tiny_predictor, tiny_oracle, archive=arc)
             first = cache.predict_population(ops)
             top1 = cache.fitness(arch, epochs=50)
+            extra_top1 = [cache.fitness(extra, epochs=e) for e in epochs]
             written = cache.flush(engine="test", seed=5,
                                   config_fingerprint="fp")
-            assert written == 12
+            assert written == 13
 
         with ArchitectureArchive(path, space=tiny_space) as arc:
             warm = EvalCache(tiny_predictor, tiny_oracle, archive=arc)
@@ -112,6 +121,19 @@ class TestArchiveRoundTrip:
             assert record.provenance == {"engine": "test", "seed": 5,
                                          "fingerprint": "fp"}
             assert record.score == top1
+            # a new prediction dirties the genotype: its flush carries the
+            # preloaded fitness entries in their original order
+            warm.predict_arch(extra)
+            assert warm.flush() == 1
+            with open(path, encoding="utf-8") as handle:
+                line = handle.read().splitlines()[-1]
+            payload = json.loads(line.split(" ", 1)[1])
+            fp = oracle_fingerprint(tiny_oracle)
+            assert list(payload["extras"]) == [
+                f"pred:{model_fingerprint(tiny_predictor)}"] + [
+                f"top1_e{e}:{fp}" for e in epochs]
+            assert list(payload["extras"].values())[1:] == extra_top1
+            assert payload["score"] == max(extra_top1)
 
     def test_stale_fingerprint_is_ignored(self, tmp_path, tiny_space,
                                           tiny_predictor, tiny_latency_model):

@@ -1,5 +1,6 @@
 """Tests of the on-disk archive: round-trip, crash tails, content merge."""
 
+import json
 import os
 
 import numpy as np
@@ -346,3 +347,140 @@ class TestConcurrency:
                                       np.asarray(replayed.score))
         arc.close()
         reopened.close()
+
+
+class TestRejectedBatch:
+    """A batch that fails validation writes nothing, in memory or on disk."""
+
+    @pytest.mark.parametrize("ops, columns", [
+        # an out-of-range operator in the last row
+        ([[0, 1, 2, 3], [3, 2, 1, 0], [0, 1, 2, K]],
+         {"latency_ms": [1.0, 2.0, 3.0]}),
+        # a metric array shorter than the population
+        ([[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 1, 1]],
+         {"latency_ms": [1.0, 2.0, 3.0], "score": [50.0, 60.0]}),
+    ])
+    def test_rejected_batch_leaves_archive_unchanged(self, tmp_path, ops,
+                                                     columns):
+        arc = make_archive(tmp_path)
+        arc.add((6, 6, 6, 6), device="dev", latency_ms=0.5)
+        arc.flush()
+        with open(arc.path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ValueError):
+            arc.add_population(
+                np.array(ops), device="dev",
+                **{name: np.array(values) for name, values in
+                   columns.items()})
+        assert len(arc) == 1
+        assert len(arc.index()) == 1
+        arc.close()
+        with open(arc.path, "rb") as handle:
+            assert handle.read() == before
+        reopened = make_archive(tmp_path)
+        assert len(reopened) == 1
+        assert [r.op_indices for r in reopened.records()] == [(6, 6, 6, 6)]
+        reopened.close()
+
+
+# ----------------------------------------------------------------------
+# Batched add_population against a row-by-row reference
+# ----------------------------------------------------------------------
+
+DEVICE_METRICS = ("latency_ms", "energy_mj", "measured_latency_ms",
+                  "measured_energy_mj")
+SCALAR_METRICS = ("macs_m", "params_m", "score")
+
+
+def add_population_rowwise(arc, ops, *, device=None, engine="", seed=None,
+                           config_fingerprint="", **columns):
+    """The reference: one ``add`` per row, one flush for the batch."""
+    for i, row in enumerate(ops.tolist()):
+        arc.add(row, device=device,
+                **{name: float(values[i]) for name, values in columns.items()},
+                engine=engine, seed=seed,
+                config_fingerprint=config_fingerprint, flush=False)
+    arc.flush()
+    return len(ops)
+
+
+GENOTYPES = st.tuples(*[st.integers(0, K - 1) for _ in range(L)])
+VALUES = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def batches(draw, pool):
+    """One add_population call: rows from ``pool`` (known keys and in-batch
+    duplicates) or fresh, a device, any metric subset, NaN values."""
+    rows = draw(st.lists(st.one_of(st.sampled_from(pool), GENOTYPES),
+                         min_size=0, max_size=10))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    n = len(rows)
+    metrics = draw(st.lists(st.sampled_from(DEVICE_METRICS), unique=True))
+    scalars = draw(st.lists(st.sampled_from(SCALAR_METRICS), unique=True))
+    device = draw(st.sampled_from(["dev-m", "dev-a", "dev-z", None]))
+    if metrics and device is None:
+        device = "dev-b"
+    columns = {name: np.array(draw(st.lists(VALUES, min_size=n,
+                                            max_size=n)), dtype=np.float64)
+               for name in metrics + scalars}
+    return dict(ops=np.array(rows, dtype=np.int64).reshape(n, L),
+                device=device, **columns,
+                engine=draw(st.sampled_from(["", "evo", "fleet-retarget"])),
+                seed=draw(st.one_of(st.none(), st.integers(0, 9))),
+                config_fingerprint=draw(st.sampled_from(["", "fp1"])))
+
+
+def assert_same_state(batched, reference):
+    a, b = batched.index(), reference.index()
+    assert a.keys == b.keys
+    assert a.devices == b.devices
+    for name in ("ops", "score", "macs_m", "params_m", "cost"):
+        np.testing.assert_array_equal(np.asarray(getattr(a, name)),
+                                      np.asarray(getattr(b, name)))
+    payloads = [[json.dumps(r.to_payload()) for r in arc.records()]
+                for arc in (batched, reference)]
+    assert payloads[0] == payloads[1]
+
+
+class TestBatchParity:
+    """``add_population`` writes the WAL bytes, index and records of the
+    same rows written one ``add`` at a time — including merges into keys
+    that only a compacted segment holds (the pending-merge path)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), compact=st.booleans())
+    def test_batched_matches_rowwise(self, tmp_path_factory, data, compact):
+        root = tmp_path_factory.mktemp("parity")
+        paths = [str(root / "batched.jsonl"), str(root / "rowwise.jsonl")]
+        writers = (ArchitectureArchive.add_population, add_population_rowwise)
+        archives = [ArchitectureArchive(p, num_layers=L, num_operators=K)
+                    for p in paths]
+
+        def apply(batch):
+            for arc, write in zip(archives, writers):
+                assert write(arc, **batch) == len(batch["ops"])
+
+        first = data.draw(batches([(0, 0, 0, 0)]))
+        apply(first)
+        pool = [tuple(row) for row in first["ops"].tolist()] or [(0, 0, 0, 0)]
+        if compact:
+            for arc in archives:
+                arc.compact()
+                arc.close()
+            archives = [ArchitectureArchive(p) for p in paths]
+        for _ in range(data.draw(st.integers(1, 3))):
+            apply(data.draw(batches(pool)))
+        assert_same_state(*archives)
+        for arc in archives:
+            arc.close()
+
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
+        for use_segments in (True, False):
+            reopened = [ArchitectureArchive(p, use_segments=use_segments)
+                        for p in paths]
+            assert_same_state(*reopened)
+            for arc in reopened:
+                arc.close()

@@ -177,6 +177,32 @@ class TestSupernetSearch:
         # only (epochs - warmup) epochs contribute α steps
         assert result.num_search_steps == (4 - 3) * 2
 
+    def test_alpha_epoch_computes_no_weight_gradients(self, tiny_predictor):
+        """The α-step reads only ∂L/∂α and ∂L/∂λ: supernet and predictor
+        weights stay gradient-free, and trainable again afterwards."""
+        from repro import nn
+        from repro.core.gumbel import GumbelSampler, TemperatureSchedule
+        from repro.core.lambda_opt import LagrangeMultiplier
+
+        cfg = LightNASConfig.tiny(latency_target_ms=2.3, seed=0,
+                                  steps_per_epoch=2)
+        engine = LightNAS(cfg, predictor=tiny_predictor)
+        weights = engine.supernet.parameters() + [
+            p for layer in tiny_predictor.layers for p in layer.parameters()]
+        for p in weights:
+            p.grad = None
+        alpha = nn.Parameter(cfg.space.uniform_alpha(), name="alpha")
+        sampler = GumbelSampler(
+            TemperatureSchedule(cfg.tau_initial, cfg.tau_floor, cfg.epochs),
+            engine.rng)
+        steps, _ = engine._update_alpha_epoch(
+            sampler, alpha, nn.Adam([alpha], lr=cfg.alpha_lr),
+            LagrangeMultiplier(lr=cfg.lambda_lr), cfg.warmup_epochs)
+        assert steps == 2
+        assert alpha.grad is not None and np.any(alpha.grad != 0)
+        assert [p for p in weights if p.grad is not None] == []
+        assert all(p.requires_grad for p in weights)
+
     def test_default_predictor_built_when_missing(self):
         cfg = LightNASConfig.tiny(latency_target_ms=2.3, seed=2,
                                   epochs=3, steps_per_epoch=2, warmup_epochs=1)
